@@ -153,9 +153,9 @@ def cmd_equilibrium_demo(cfg):
                                          workers=workers)
     mc_eq = payoff.payoff_monte_carlo(values, eqs, cfg_eq, rounds, seed, workers=workers)
 
-    xs = np.linspace(0.0, d1.grid_upper(), 400)
+    xs = np.linspace(d1.support[0], d1.grid_upper(), 400)
     gamma = eqs[0].as_grid_function()
-    ode_resid = gamma(xs) + gamma.derivative(xs) * (payoff._vv(d1, xs) - xs) - beta_i(xs)
+    ode_resid = gamma(xs) + gamma.derivative(xs) * (d1.virtual_value_clamped(xs) - xs) - beta_i(xs)
     beta_eq = eqs[0].as_grid_function()
     dd_max = max(abs(payoff.directional_derivative(
         d1, beta_eq, dist.GridFunction.from_callable(f, 0.0, d1.grid_upper(), 512), z_eq))

@@ -116,6 +116,14 @@ class DistributionModel:
     def inverse_virtual_value(self, t):
         raise NotImplementedError
 
+    def virtual_value_clamped(self, x):
+        """Vectorized virtual value with inputs clamped to the valid range."""
+        raise NotImplementedError
+
+    def _inverse_virtual_clamped(self, t):
+        """Vectorized inverse virtual value, clamped to the valid range."""
+        raise NotImplementedError
+
     def monopoly_price(self):
         return self.inverse_virtual_value(0.0)
 
@@ -225,31 +233,36 @@ class GPDistribution(DistributionModel):
         p = self.params
         return (p.sigma - p.xi * p.mu) / (1.0 - p.xi)
 
+    # psi(x) = (1 - xi)(x - r*) is affine; the maps below state it once in
+    # each direction, unclipped, for the checked and clamped surfaces
+    def _affine_virtual(self, x):
+        return (1.0 - self.params.xi) * (np.asarray(x, dtype=float) - self.monopoly_price())
+
+    def _affine_inverse(self, t):
+        return np.asarray(t, dtype=float) / (1.0 - self.params.xi) + self.monopoly_price()
+
     def virtual_value(self, x):
         x = np.asarray(x, dtype=float)
         self._check_support(x)
-        p = self.params
-        return (1.0 - p.xi) * (x - self.monopoly_price())
+        return self._affine_virtual(x)
+
+    def virtual_value_clamped(self, x):
+        return self._affine_virtual(np.clip(x, *self.support))
 
     def inverse_virtual_value(self, t):
-        t = np.asarray(t, dtype=float)
-        p = self.params
-        x = t / (1.0 - p.xi) + self.monopoly_price()
+        x = self._affine_inverse(t)
         self._check_support(x, tol=1e-9)
         return x
 
+    def _inverse_virtual_clamped(self, t):
+        return np.clip(self._affine_inverse(t), *self.support)
+
     def _cdf_of_virtual(self, t):
-        p = self.params
-        t = np.asarray(t, dtype=float)
-        x = t / (1.0 - p.xi) + self.monopoly_price()
-        lo, hi = self.support
-        return self.cdf(np.clip(x, lo, hi if np.isfinite(hi) else None))
+        return self.cdf(self._inverse_virtual_clamped(t))
 
     def _pdf_of_virtual(self, t):
-        p = self.params
-        t = np.asarray(t, dtype=float)
-        x = t / (1.0 - p.xi) + self.monopoly_price()
-        return self.pdf(x) / (1.0 - p.xi)
+        # unclipped: f_Z must stay 0 above the top of the virtualized support
+        return self.pdf(self._affine_inverse(t)) / (1.0 - self.params.xi)
 
 
 class GridDistribution(DistributionModel):
@@ -358,16 +371,11 @@ class GridDistribution(DistributionModel):
         if np.any(x > self._psi_knots[-1] + 1e-12 * (self.knots[-1] - self.knots[0])):
             raise OutOfSupport(
                 "virtual value is only evaluated up to the F <= 1 - 1e-9 quantile on grids")
-        return self._psi(np.clip(x, self._psi_knots[0], self._psi_knots[-1]))
+        return self.virtual_value_clamped(x)
 
     def virtual_value_clamped(self, x):
-        """Vectorized evaluation with inputs clamped to the valid knot range."""
         x = np.clip(np.asarray(x, dtype=float), self._psi_knots[0], self._psi_knots[-1])
         return self._psi(x)
-
-    def virtual_derivative(self, x):
-        x = np.clip(np.asarray(x, dtype=float), self._psi_knots[0], self._psi_knots[-1])
-        return self._psi_deriv(x)
 
     def inverse_virtual_value(self, t):
         if not self._regular:

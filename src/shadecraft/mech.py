@@ -1,16 +1,18 @@
 """Single-round auction mechanisms and the seller's revenue-maximizing fit.
 
-All run_* operations are pure functions of their inputs. Ties in (virtualized)
-bids go to the lowest bidder index; a bid equal to its reserve counts as
-clearing.
+The vectorized kernel _scored_outcomes is the only implementation of the six
+allocation and payment rules. Monte Carlo runs it on whole chunks of rounds;
+each run_* is a one-row view of it that adds input validation. Ties in
+(virtualized) bids go to the lowest bidder index, a bid equal to its reserve
+counts as clearing, and with no sale the payment is 0.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .dist import DistributionModel, GPParams, make_gp
+from .dist import DistributionModel, GPParams
 from .errors import FitFailure, InvalidParams, NonRegular
 
 _FIT_NODES = (np.arange(64) + 0.5) / 64  # probability nodes for quantile least squares
@@ -56,77 +58,122 @@ class AuctionOutcome:
         return {"winner": self.winner, "payment": self.payment}
 
 
-def _highest_other(values, idx):
-    others = [v for j, v in enumerate(values) if j != idx]
-    return max(others) if others else 0.0
+def _second_highest(w):
+    if w.shape[1] == 1:
+        return np.full(w.shape[0], -np.inf)
+    return np.partition(w, -2, axis=1)[:, -2]
+
+
+def _scored_outcomes(bids, cfg: MechanismConfig):
+    """Vectorized per-round winner (-1 for no sale), payment, and the score
+    matrix the allocation maximizes (virtualized bids for myerson, boosted
+    margins for boosted second price, None for the other kinds)."""
+    n, k = bids.shape
+    rows = np.arange(n)
+    kind = cfg.kind
+    w = None
+
+    if kind == "myerson":
+        w = np.column_stack([m.virtual_value_clamped(bids[:, i])
+                             for i, m in enumerate(cfg.bid_models)])
+        winner = np.argmax(w, axis=1)
+        sale = w[rows, winner] >= 0
+        threshold = np.maximum(0.0, _second_highest(w))
+        payment = np.zeros(n)
+        for i, m in enumerate(cfg.bid_models):
+            sel = sale & (winner == i)
+            if np.any(sel):
+                payment[sel] = m._inverse_virtual_clamped(threshold[sel])
+    elif kind == "boosted-second-price":
+        s = np.asarray(cfg.boosts)
+        r = np.asarray(cfg.reserves)
+        w = s[None, :] * (bids - r[None, :])
+        winner = np.argmax(w, axis=1)
+        sale = w[rows, winner] >= 0
+        payment = r[winner] + np.maximum(0.0, _second_highest(w)) / s[winner]
+    elif kind == "vcg-lazy":
+        r = np.asarray(cfg.reserves)
+        winner = np.argmax(bids, axis=1)
+        sale = bids[rows, winner] >= r[winner]
+        payment = np.maximum(r[winner], _second_highest(bids))
+    elif kind == "vcg-eager":
+        r = np.asarray(cfg.reserves)
+        clears = bids >= r[None, :]
+        masked = np.where(clears, bids, -np.inf)
+        winner = np.argmax(masked, axis=1)
+        sale = clears.any(axis=1)
+        payment = np.maximum(r[winner], _second_highest(masked))
+    elif kind == "first-price":
+        winner = np.argmax(bids, axis=1)
+        sale = np.ones(n, dtype=bool)
+        payment = bids[rows, winner]
+    elif kind == "second-price":
+        reserve = cfg.reserves[0] if cfg.reserves else 0.0
+        winner = np.argmax(bids, axis=1)
+        sale = bids[rows, winner] >= reserve
+        payment = np.maximum(reserve, _second_highest(bids))
+    else:
+        raise InvalidParams(f"unsupported mechanism kind: {kind!r}")
+
+    payment = np.where(sale, np.maximum(payment, 0.0), 0.0)
+    return np.where(sale, winner, -1), payment, w
+
+
+def _outcomes(bids, cfg: MechanismConfig):
+    """Vectorized per-round winner (-1 for no sale) and payment."""
+    return _scored_outcomes(bids, cfg)[:2]
+
+
+def _check_config(cfg: MechanismConfig, k: int):
+    if k == 0:
+        raise InvalidParams("bids must be nonempty")
+    if cfg.kind == "myerson" and len(cfg.bid_models) != k:
+        raise InvalidParams("myerson config needs one bid model per bidder")
+    if cfg.kind in ("vcg-lazy", "vcg-eager") and len(cfg.reserves) != k:
+        raise InvalidParams("vcg config needs one reserve per bidder")
+    if cfg.kind == "boosted-second-price" and not (len(cfg.boosts) == len(cfg.reserves) == k):
+        raise InvalidParams("bsp config needs one (boost, reserve) pair per bidder")
+
+
+def _run_row(bids, cfg: MechanismConfig) -> AuctionOutcome:
+    """One round through the kernel."""
+    row = np.asarray([bids], dtype=float)
+    _check_config(cfg, row.shape[1])
+    winner, payment, w = _scored_outcomes(row, cfg)
+    return AuctionOutcome(None if winner[0] < 0 else int(winner[0]), float(payment[0]),
+                          None if w is None else tuple(float(v) for v in w[0]))
 
 
 def run_myerson(bids, cfg: MechanismConfig) -> AuctionOutcome:
     """Allocate to the highest non-negative virtualized bid; the winner pays
     the smallest bid that still wins: psi_w^{-1}(max(0, max_j!=w psi_j(b_j)))."""
-    models = cfg.bid_models
-    if len(bids) != len(models):
-        raise InvalidParams("bids and bid models must have matching lengths")
-    vv = [float(m.virtual_value(np.asarray(b, dtype=float))) for b, m in zip(bids, models)]
-    winner = int(np.argmax(vv))
-    if vv[winner] < 0:
-        return AuctionOutcome(None, 0.0, tuple(vv))
-    threshold = max(0.0, _highest_other(vv, winner))
-    payment = float(models[winner].inverse_virtual_value(threshold))
-    return AuctionOutcome(winner, payment, tuple(vv))
+    for b, m in zip(bids, cfg.bid_models):
+        m._check_support(np.asarray(b, dtype=float))
+    return _run_row(bids, cfg)
 
 
 def run_vcg_lazy(bids, reserves) -> AuctionOutcome:
     """Highest bidder wins iff she clears her own reserve."""
-    if len(bids) != len(reserves):
-        raise InvalidParams("bids and reserves must have matching lengths")
-    winner = int(np.argmax(bids))
-    if bids[winner] < reserves[winner]:
-        return AuctionOutcome(None, 0.0)
-    return AuctionOutcome(winner, float(max(reserves[winner], _highest_other(bids, winner))))
+    return _run_row(bids, MechanismConfig("vcg-lazy", reserves=reserves))
 
 
 def run_vcg_eager(bids, reserves) -> AuctionOutcome:
     """Highest bidder among those clearing their reserves wins."""
-    if len(bids) != len(reserves):
-        raise InvalidParams("bids and reserves must have matching lengths")
-    clearing = [i for i, (b, r) in enumerate(zip(bids, reserves)) if b >= r]
-    if not clearing:
-        return AuctionOutcome(None, 0.0)
-    winner = max(clearing, key=lambda i: (bids[i], -i))
-    competing = [bids[i] for i in clearing if i != winner]
-    payment = max(reserves[winner], max(competing) if competing else 0.0)
-    return AuctionOutcome(int(winner), float(payment))
+    return _run_row(bids, MechanismConfig("vcg-eager", reserves=reserves))
 
 
 def run_bsp(bids, boosts, reserves) -> AuctionOutcome:
     """Boosted second price: bids are virtualized via w_i = s_i (b_i - r_i)."""
-    if any(s <= 0 for s in boosts):
-        raise InvalidParams("boosts must be positive")
-    if not len(bids) == len(boosts) == len(reserves):
-        raise InvalidParams("bids, boosts and reserves must have matching lengths")
-    w = [s * (b - r) for b, s, r in zip(bids, boosts, reserves)]
-    winner = int(np.argmax(w))
-    if w[winner] < 0:
-        return AuctionOutcome(None, 0.0, tuple(w))
-    payment = reserves[winner] + max(0.0, _highest_other(w, winner)) / boosts[winner]
-    return AuctionOutcome(winner, float(payment), tuple(w))
+    return _run_row(bids, MechanismConfig("boosted-second-price", reserves=reserves,
+                                          boosts=boosts))
 
 
 def run_first_price(bids) -> AuctionOutcome:
-    if len(bids) == 0:
-        raise InvalidParams("bids must be nonempty")
-    winner = int(np.argmax(bids))
-    return AuctionOutcome(winner, float(bids[winner]))
+    return _run_row(bids, MechanismConfig("first-price"))
 
 
 def run_second_price(bids, reserve: float = 0.0) -> AuctionOutcome:
-    if len(bids) == 0:
-        raise InvalidParams("bids must be nonempty")
-    winner = int(np.argmax(bids))
-    if bids[winner] < reserve:
-        return AuctionOutcome(None, 0.0)
-    return AuctionOutcome(winner, float(max(reserve, _highest_other(bids, winner))))
+    return _run_row(bids, MechanismConfig("second-price", reserves=(reserve,)))
 
 
 def fit_monopoly_reserves(bid_models) -> tuple:

@@ -15,28 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quad
-from .dist import (DistributionModel, GPDistribution, GPParams, GridDistribution,
-                   GridFunction, make_gp)
+from .dist import DistributionModel, GPDistribution, GPParams, GridFunction
 from .errors import InvalidParams, NonMonotone, NonRegular, OutOfSupport
-from .mech import MechanismConfig
+from .mech import MechanismConfig, _check_config, _outcomes
 from .shade import ShadingStrategy
 
 _CHUNK = 1 << 16  # Monte Carlo rounds per counter-keyed chunk
-
-
-def _vv(model, b):
-    """Vectorized virtualized value of bids, clamped for grid-backed models."""
-    if isinstance(model, GridDistribution):
-        return model.virtual_value_clamped(b)
-    p = model.params
-    return (1.0 - p.xi) * (np.asarray(b, dtype=float) - model.monopoly_price())
-
-
-def _ivv(model, t):
-    if isinstance(model, GridDistribution):
-        return model._inverse_virtual_clamped(t)
-    p = model.params
-    return np.asarray(t, dtype=float) / (1.0 - p.xi) + model.monopoly_price()
 
 
 class CompetitionDistribution:
@@ -132,7 +116,6 @@ class PayoffEstimate:
 
 def _find_zero(fn, lo, hi, iters=80):
     """Bisection root of an increasing scalar function with fn(lo)<0<fn(hi)."""
-    flo = fn(lo)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         if fn(mid) < 0:
@@ -188,72 +171,6 @@ def _resolve_workers(workers):
         return max(1, int(workers))
     env = os.environ.get("SHADECRAFT_WORKERS")
     return max(1, int(env)) if env else 1
-
-
-def _second_highest(w):
-    if w.shape[1] == 1:
-        return np.full(w.shape[0], -np.inf)
-    return np.partition(w, -2, axis=1)[:, -2]
-
-
-def _outcomes(bids, cfg: MechanismConfig):
-    """Vectorized per-round winner (-1 for no sale) and payment."""
-    n, k = bids.shape
-    rows = np.arange(n)
-    kind = cfg.kind
-
-    if kind == "myerson":
-        w = np.column_stack([_vv(m, bids[:, i]) for i, m in enumerate(cfg.bid_models)])
-        winner = np.argmax(w, axis=1)
-        sale = w[rows, winner] >= 0
-        threshold = np.maximum(0.0, _second_highest(w))
-        payment = np.zeros(n)
-        for i, m in enumerate(cfg.bid_models):
-            sel = sale & (winner == i)
-            if np.any(sel):
-                payment[sel] = _ivv(m, threshold[sel])
-    elif kind == "boosted-second-price":
-        s = np.asarray(cfg.boosts)
-        r = np.asarray(cfg.reserves)
-        w = s[None, :] * (bids - r[None, :])
-        winner = np.argmax(w, axis=1)
-        sale = w[rows, winner] >= 0
-        payment = r[winner] + np.maximum(0.0, _second_highest(w)) / s[winner]
-    elif kind == "vcg-lazy":
-        r = np.asarray(cfg.reserves)
-        winner = np.argmax(bids, axis=1)
-        sale = bids[rows, winner] >= r[winner]
-        payment = np.maximum(r[winner], _second_highest(bids))
-    elif kind == "vcg-eager":
-        r = np.asarray(cfg.reserves)
-        clears = bids >= r[None, :]
-        masked = np.where(clears, bids, -np.inf)
-        winner = np.argmax(masked, axis=1)
-        sale = clears.any(axis=1)
-        payment = np.maximum(r[winner], _second_highest(masked))
-    elif kind == "first-price":
-        winner = np.argmax(bids, axis=1)
-        sale = np.ones(n, dtype=bool)
-        payment = bids[rows, winner]
-    elif kind == "second-price":
-        reserve = cfg.reserves[0] if cfg.reserves else 0.0
-        winner = np.argmax(bids, axis=1)
-        sale = bids[rows, winner] >= reserve
-        payment = np.maximum(reserve, _second_highest(bids))
-    else:
-        raise InvalidParams(f"unsupported mechanism kind: {kind!r}")
-
-    payment = np.where(sale, np.maximum(payment, 0.0), 0.0)
-    return np.where(sale, winner, -1), payment
-
-
-def _check_config(cfg: MechanismConfig, k: int):
-    if cfg.kind == "myerson" and len(cfg.bid_models) != k:
-        raise InvalidParams("myerson config needs one bid model per bidder")
-    if cfg.kind in ("vcg-lazy", "vcg-eager") and len(cfg.reserves) != k:
-        raise InvalidParams("vcg config needs one reserve per bidder")
-    if cfg.kind == "boosted-second-price" and not (len(cfg.boosts) == len(cfg.reserves) == k):
-        raise InvalidParams("bsp config needs one (boost, reserve) pair per bidder")
 
 
 def _chunk_stats(value_models, strategies, cfg, seed, chunk_index, size):
@@ -335,7 +252,7 @@ def _myerson_linear_payoff(d1, z, alpha):
     hi = d1.grid_upper()
 
     def integrand(x):
-        h = np.clip(alpha * _vv(d1, x), 0.0, None)
+        h = np.clip(alpha * d1.virtual_value_clamped(x), 0.0, None)
         return (x - h) * z.cdf(h) * d1.pdf(x)
 
     return _quad.integrate(integrand, r_star, hi)
@@ -363,7 +280,7 @@ def _vcg_linear_payoff(d1, big_g, alpha):
     hi = d1.grid_upper()
 
     def integrand(x):
-        return (x - alpha * _vv(d1, x)) * big_g(alpha * x) * d1.pdf(x)
+        return (x - alpha * d1.virtual_value_clamped(x)) * big_g(alpha * x) * d1.pdf(x)
 
     return _quad.integrate(integrand, r_star, hi)
 
@@ -424,11 +341,11 @@ def directional_derivative(d1, beta: GridFunction, rho, z: CompetitionDistributi
 
     def h(x):
         x = np.asarray(x, dtype=float)
-        return beta(x) + beta.derivative(x) * (_vv(d1, x) - x)
+        return beta(x) + beta.derivative(x) * (d1.virtual_value_clamped(x) - x)
 
     def direction(x):
         x = np.asarray(x, dtype=float)
-        return rho_fn(x) + rho_deriv(x) * (_vv(d1, x) - x)
+        return rho_fn(x) + rho_deriv(x) * (d1.virtual_value_clamped(x) - x)
 
     x0 = _clearing_point(h, lo, hi)
     if x0 is None:

@@ -32,12 +32,7 @@ class ShadingStrategy:
     def virtualized_bid(self, x):
         """psi_B(bid(x)) via the transform identity."""
         x = np.asarray(x, dtype=float)
-        return self.bid(x) + self.bid_derivative(x) * (self._base_virtual(x) - x)
-
-    def _base_virtual(self, x):
-        if isinstance(self.base, GridDistribution):
-            return self.base.virtual_value_clamped(x)
-        return self.base.virtual_value(x)
+        return self.bid(x) + self.bid_derivative(x) * (self.base.virtual_value_clamped(x) - x)
 
     def bid_distribution(self) -> DistributionModel:
         """Distribution of B = bid(X); cached after first construction."""
@@ -75,7 +70,7 @@ class LinearShading(ShadingStrategy):
         return np.full_like(np.asarray(x, dtype=float), self.alpha)
 
     def virtualized_bid(self, x):
-        return self.alpha * self._base_virtual(np.asarray(x, dtype=float))
+        return self.alpha * self.base.virtual_value_clamped(x)
 
     def _make_bid_distribution(self):
         if isinstance(self.base, GPDistribution):
@@ -105,7 +100,7 @@ class GridShading(ShadingStrategy):
         if self._target is None:
             return self._bid_fn.derivative(x)
         x = np.asarray(x, dtype=float)
-        gap = self._base_virtual(x) - x
+        gap = self.base.virtual_value_clamped(x) - x
         safe = np.abs(gap) > 1e-9
         ode = (np.asarray(self._target(x)) - self.bid(x)) / np.where(safe, gap, 1.0)
         return np.where(safe, ode, self._bid_fn.derivative(x))

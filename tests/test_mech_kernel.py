@@ -1,0 +1,171 @@
+"""The scalar run_* outcomes against the vectorized Monte Carlo kernel.
+
+Bids, reserves and quantile levels come from small discrete sets so that
+ties occur often. Besides equal winners and payments, every outcome is
+checked against a loop version of the rules (ties to the lowest index, no
+sale exactly when no score clears), a round with no sale pays 0, and the
+payment never exceeds the winner's bid.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shadecraft import dist, mech, payoff, shade
+from shadecraft.errors import InvalidParams, OutOfSupport
+
+LEVELS = (0.0, 0.25, 0.5, 0.75, 1.0)
+BOOSTS = (0.5, 1.0, 2.0)
+QUANTILES = (0.0, 0.2, 0.5, 0.8, 0.95)
+_XS = np.linspace(0.0, 1.0, 129)
+MODELS = (
+    dist.make_uniform(),
+    dist.make_gp(0.0, 2.0, -0.5),
+    dist.make_gp(0.1, 0.5, 0.0),
+    dist.make_grid(_XS, 1.0 - (1.0 - _XS) ** 2, 2.0 * (1.0 - _XS)),  # Beta(1, 2)
+)
+KINDS = ("myerson", "vcg-lazy", "vcg-eager", "boosted-second-price",
+         "first-price", "second-price")
+
+
+@st.composite
+def auctions(draw):
+    kind = draw(st.sampled_from(KINDS))
+    k = draw(st.integers(1, 4))
+    if kind == "myerson":
+        picks = draw(st.lists(st.tuples(st.sampled_from(MODELS), st.sampled_from(QUANTILES)),
+                              min_size=k, max_size=k))
+        bids = [float(m.quantile(q)) for m, q in picks]
+        return bids, mech.MechanismConfig(kind, bid_models=tuple(m for m, _ in picks))
+    bids = draw(st.lists(st.sampled_from(LEVELS), min_size=k, max_size=k))
+    reserves = draw(st.lists(st.sampled_from(LEVELS), min_size=k, max_size=k))
+    if kind == "boosted-second-price":
+        boosts = draw(st.lists(st.sampled_from(BOOSTS), min_size=k, max_size=k))
+        return bids, mech.MechanismConfig(kind, reserves=reserves, boosts=boosts)
+    if kind == "first-price":
+        return bids, mech.MechanismConfig(kind)
+    if kind == "second-price":
+        return bids, mech.MechanismConfig(kind, reserves=reserves[:1])
+    return bids, mech.MechanismConfig(kind, reserves=reserves)
+
+
+def run_scalar(bids, cfg):
+    if cfg.kind == "myerson":
+        return mech.run_myerson(bids, cfg)
+    if cfg.kind == "vcg-lazy":
+        return mech.run_vcg_lazy(bids, cfg.reserves)
+    if cfg.kind == "vcg-eager":
+        return mech.run_vcg_eager(bids, cfg.reserves)
+    if cfg.kind == "boosted-second-price":
+        return mech.run_bsp(bids, cfg.boosts, cfg.reserves)
+    if cfg.kind == "first-price":
+        return mech.run_first_price(bids)
+    return mech.run_second_price(bids, cfg.reserves[0])
+
+
+def reference(bids, cfg):
+    """Loop version of the six rules: (winner or None, payment, scores or None).
+
+    The winner is the lowest index with the top score among the bidders that
+    may win, so ties go to the lowest index; there is no sale exactly when the
+    winner's score does not clear.
+    """
+    b = [float(x) for x in bids]
+    everyone = range(len(b))
+
+    def top(vals, idx):
+        return min(idx, key=lambda i: (-vals[i], i))
+
+    def others(vals, idx, w):
+        return [vals[j] for j in idx if j != w]
+
+    if cfg.kind in ("myerson", "boosted-second-price"):
+        if cfg.kind == "myerson":
+            s = [float(m.virtual_value(x)) for m, x in zip(cfg.bid_models, b)]
+        else:
+            s = [bo * (x - r) for x, bo, r in zip(b, cfg.boosts, cfg.reserves)]
+        w = top(s, everyone)
+        if s[w] < 0:
+            return None, 0.0, tuple(s)
+        threshold = max([0.0] + others(s, everyone, w))
+        if cfg.kind == "myerson":
+            return w, float(cfg.bid_models[w].inverse_virtual_value(threshold)), tuple(s)
+        return w, cfg.reserves[w] + threshold / cfg.boosts[w], tuple(s)
+    if cfg.kind == "first-price":
+        w = top(b, everyone)
+        return w, b[w], None
+    reserves = cfg.reserves * len(b) if cfg.kind == "second-price" else cfg.reserves
+    # vcg-eager picks among the bidders clearing their reserves; vcg-lazy and
+    # second price pick the highest bidder, who then must clear hers
+    may_win = [i for i in everyone if b[i] >= reserves[i]] if cfg.kind == "vcg-eager" else everyone
+    if not may_win:
+        return None, 0.0, None
+    w = top(b, may_win)
+    if b[w] < reserves[w]:
+        return None, 0.0, None
+    return w, max([reserves[w]] + others(b, may_win, w)), None
+
+
+@settings(max_examples=400, deadline=None)
+@given(auctions())
+def test_scalar_matches_kernel(auction):
+    bids, cfg = auction
+    out = run_scalar(bids, cfg)
+    winner, pay = payoff._outcomes(np.asarray([bids], dtype=float), cfg)
+    assert out.winner == (None if winner[0] < 0 else int(winner[0]))
+    assert out.payment == float(pay[0])
+    assert (out.winner, out.payment, out.virtualized_bids) == reference(bids, cfg)
+    if out.winner is None:
+        assert out.payment == 0.0
+    else:
+        bid = bids[out.winner]
+        assert out.payment <= bid + 1e-12 * max(1.0, abs(bid))
+
+
+@pytest.mark.parametrize("run", [
+    lambda b: mech.run_vcg_lazy(b, [0.5, -0.1]),
+    lambda b: mech.run_vcg_eager(b, [-0.1, 0.5]),
+    lambda b: mech.run_bsp(b, [1.0, 1.0], [0.5, -0.1]),
+    lambda b: mech.run_second_price(b, -0.1),
+])
+def test_negative_reserves_rejected(run):
+    with pytest.raises(InvalidParams):
+        run([0.3, 0.7])
+
+
+def test_myerson_outside_support_rejected():
+    cfg = mech.MechanismConfig("myerson", bid_models=(dist.make_uniform(), dist.make_uniform()))
+    with pytest.raises(OutOfSupport):
+        mech.run_myerson([0.5, 1.5], cfg)
+
+
+# ----------------------------------------------------------------------
+# Monte Carlo through the kernel branches the README configs never run
+# ----------------------------------------------------------------------
+
+def _truthful_uniform_mc(cfg, rounds=200_000, seed=2026):
+    models = [dist.make_uniform() for _ in range(3)]
+    strategies = [shade.truthful(m) for m in models]
+    return payoff.payoff_monte_carlo(models, strategies, cfg, rounds, seed)
+
+
+@pytest.mark.parametrize("cfg", [
+    mech.MechanismConfig("second-price", reserves=(0.5,)),
+    mech.MechanismConfig("vcg-eager", reserves=(0.5, 0.5, 0.5)),
+    mech.fit_mechanism("boosted-second-price", [dist.make_uniform()] * 3),
+], ids=["second-price", "vcg-eager", "bsp-fit"])
+def test_monopoly_reserve_mc(cfg):
+    # 3 truthful Unif[0,1] bidders against the monopoly reserve 1/2:
+    # each bidder earns 11/192 and the seller 17/32
+    est = _truthful_uniform_mc(cfg)
+    for mean, se in zip(est.per_bidder, est.per_bidder_se):
+        assert abs(mean - 11 / 192) < 3 * se
+    assert abs(est.seller_revenue - 17 / 32) < 3 * est.seller_revenue_se
+
+
+def test_first_price_truthful_mc():
+    # truthful bidders pay their value: zero payoff, revenue E[max of 3] = 3/4
+    est = _truthful_uniform_mc(mech.MechanismConfig("first-price"))
+    assert est.per_bidder == (0.0, 0.0, 0.0)
+    assert abs(est.seller_revenue - 3 / 4) < 3 * est.seller_revenue_se
