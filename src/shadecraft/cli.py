@@ -155,10 +155,9 @@ def cmd_equilibrium_demo(cfg):
 
     xs = np.linspace(d1.support[0], d1.grid_upper(), 400)
     gamma = eqs[0].as_grid_function()
-    ode_resid = gamma(xs) + gamma.derivative(xs) * (d1.virtual_value_clamped(xs) - xs) - beta_i(xs)
-    beta_eq = eqs[0].as_grid_function()
+    ode_resid = shade.virtualize(d1, gamma, gamma.derivative, xs) - beta_i(xs)
     dd_max = max(abs(payoff.directional_derivative(
-        d1, beta_eq, dist.GridFunction.from_callable(f, 0.0, d1.grid_upper(), 512), z_eq))
+        d1, gamma, dist.GridFunction.from_callable(f, 0.0, d1.grid_upper(), 512), z_eq))
         for f in _DD_DIRECTIONS)
 
     report = {

@@ -63,11 +63,8 @@ class GridFunction:
             raise NonMonotone("interpolant derivative must be positive on the knot range")
 
     @classmethod
-    def from_callable(cls, fn, lo, hi, n=GRID_N, extra_knots=()):
+    def from_callable(cls, fn, lo, hi, n=GRID_N):
         xs = np.linspace(lo, hi, n)
-        if extra_knots:
-            xs = np.unique(np.concatenate([xs, np.asarray(extra_knots, dtype=float)]))
-            xs = xs[(xs >= lo) & (xs <= hi)]
         return cls(xs, fn(xs))
 
     def __call__(self, x):
@@ -147,9 +144,14 @@ class DistributionModel:
         lo, hi = self.support
         return hi if np.isfinite(hi) else float(self.quantile(INF_TRUNC_Q))
 
-    def default_grid(self, n=GRID_N):
-        lo, _ = self.support
-        return np.linspace(lo, self.grid_upper(), n)
+    def default_grid(self, extra=()):
+        """GRID_N equispaced knots from the support's low end to grid_upper(),
+        merged with the points of extra that lie strictly inside."""
+        lo, hi = self.support[0], self.grid_upper()
+        xs = np.linspace(lo, hi, GRID_N)
+        extra = np.asarray(extra, dtype=float)
+        extra = extra[(extra > lo) & (extra < hi)]
+        return np.unique(np.concatenate([xs, extra])) if extra.size else xs
 
     def _check_support(self, x, tol=1e-12):
         lo, hi = self.support
@@ -388,6 +390,8 @@ class GridDistribution(DistributionModel):
         return self._inverse_virtual_clamped(t)
 
     def _inverse_virtual_clamped(self, t):
+        if not self._regular:
+            raise NonRegular("virtual value is not increasing on the grid")
         t = np.clip(np.asarray(t, dtype=float), self._psi_values[0], self._psi_values[-1])
         x = self._psi_inv(t)
         lo, hi = self._psi_knots[0], self._psi_knots[-1]
@@ -400,8 +404,6 @@ class GridDistribution(DistributionModel):
         return np.clip(x, lo, hi)
 
     def _cdf_of_virtual(self, t):
-        if not self._regular:
-            raise NonRegular("virtual value is not increasing on the grid")
         t = np.asarray(t, dtype=float)
         out = np.empty_like(t, dtype=float)
         below = t < self._psi_values[0]
@@ -413,8 +415,6 @@ class GridDistribution(DistributionModel):
         return out
 
     def _pdf_of_virtual(self, t):
-        if not self._regular:
-            raise NonRegular("virtual value is not increasing on the grid")
         t = np.asarray(t, dtype=float)
         out = np.zeros_like(t, dtype=float)
         mid = (t >= self._psi_values[0]) & (t <= self._psi_values[-1])
@@ -445,9 +445,8 @@ def transform_distribution(model: DistributionModel, beta: GridFunction) -> Grid
     H(beta(x)) = F(x) and h(beta(x)) = f(x) / beta'(x).
     """
     xs = model.default_grid()
-    extra = beta.knots[(beta.knots > xs[0]) & (beta.knots < xs[-1])]
-    if extra.size and extra.size <= 4 * GRID_N:
-        xs = np.unique(np.concatenate([xs, extra]))
+    if np.count_nonzero((beta.knots > xs[0]) & (beta.knots < xs[-1])) <= 4 * GRID_N:
+        xs = model.default_grid(beta.knots)
     slope = beta.derivative(xs)
     if np.any(slope <= 0):
         raise NonMonotone("beta must be strictly increasing on the support")

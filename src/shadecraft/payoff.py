@@ -6,21 +6,29 @@ competition Z = max(0, competitors' virtualized bids). F_Z carries a point
 mass at 0 (the probability that every competitor misses her reserve); the
 quadrature, the functional directional derivative and the boosted-second-
 price parameter gradient all account for it explicitly.
+
+The reserve-clearing rule, the smallest value whose virtualized bid is
+>= 0, lives in `_clearing_point`; the Myerson payoff integrand, over the
+values from that point up, lives in `_myerson_payoff`. Virtualized bids come
+from `shade.virtualize`.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import _quad
 from .dist import DistributionModel, GPDistribution, GPParams, GridFunction
 from .errors import InvalidParams, NonMonotone, NonRegular, OutOfSupport
 from .mech import MechanismConfig, _check_config, _outcomes
-from .shade import ShadingStrategy
+from .shade import ShadingStrategy, virtualize
 
 _CHUNK = 1 << 16  # Monte Carlo rounds per counter-keyed chunk
+_EPS4 = 4 * np.finfo(float).eps  # brentq's smallest relative tolerance
 
 
 class CompetitionDistribution:
@@ -114,26 +122,32 @@ class PayoffEstimate:
         }
 
 
-def _find_zero(fn, lo, hi, iters=80):
-    """Bisection root of an increasing scalar function with fn(lo)<0<fn(hi)."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if fn(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
 def _clearing_point(h, lo, hi):
-    """Smallest x with h(x) >= 0 for increasing h; None if h < 0 throughout."""
-    hlo = float(h(np.asarray(lo, dtype=float)))
-    hhi = float(h(np.asarray(hi, dtype=float)))
-    if hlo >= 0:
+    """Smallest x in [lo, hi] with h(x) >= 0 for an increasing h; None if
+    h <= 0 up to hi. h is evaluated once on a 257-point probe: a decrease
+    there raises NonRegular, and otherwise brentq finds the zero inside the
+    probe interval that brackets it."""
+    xs = np.linspace(lo, hi, 257)
+    hs = h(xs)
+    if np.any(np.diff(hs) < -1e-9):
+        raise NonRegular("induced virtualized bid must be increasing")
+    if hs[0] >= 0:
         return lo
-    if hhi <= 0:
+    if hs[-1] <= 0:
         return None
-    return _find_zero(lambda x: float(h(np.asarray(x, dtype=float))), lo, hi)
+    i = int(np.argmax(hs >= 0))
+    return brentq(lambda x: float(h(np.asarray(x))), xs[i - 1], xs[i],
+                  xtol=_EPS4 * (hi - lo), rtol=_EPS4)
+
+
+def _myerson_payoff(d1, h, z, x0, kinks=()):
+    """Integral of (x - h+) F_Z(h+) f1(x) over [x0, grid upper], h+ = max(h, 0):
+    the Myerson payoff of a bidder whose virtualized bid h clears at x0."""
+    def integrand(x):
+        hx = np.clip(h(x), 0.0, None)
+        return (x - hx) * z.cdf(hx) * d1.pdf(x)
+
+    return _quad.integrate(integrand, x0, d1.grid_upper(), breakpoints=kinks)
 
 
 def payoff_quadrature(d1: DistributionModel, strategy: ShadingStrategy,
@@ -145,20 +159,11 @@ def payoff_quadrature(d1: DistributionModel, strategy: ShadingStrategy,
     bid; F_Z(0+) carries the atom, so a strategy whose virtualized bid stays
     (barely) positive wins whenever every competitor misses her reserve.
     """
-    lo, hi = d1.support[0], d1.grid_upper()
     h = strategy.virtualized_bid
-    probe = np.linspace(lo, hi, 257)
-    if np.any(np.diff(h(probe)) < -1e-9):
-        raise NonRegular("induced virtualized bid must be increasing")
-    x0 = _clearing_point(h, lo, hi)
+    x0 = _clearing_point(h, d1.support[0], d1.grid_upper())
     if x0 is None:
         return PayoffEstimate(mean=0.0, per_bidder=(0.0,))
-
-    def integrand(x):
-        hx = np.clip(h(x), 0.0, None)
-        return (x - hx) * z.cdf(hx) * d1.pdf(x)
-
-    val = _quad.integrate(integrand, x0, hi, breakpoints=strategy.kinks)
+    val = _myerson_payoff(d1, h, z, x0, strategy.kinks)
     return PayoffEstimate(mean=val, per_bidder=(val,))
 
 
@@ -248,14 +253,11 @@ def first_price_payoff(d1, beta_i: GridFunction, k: int) -> float:
 # ----------------------------------------------------------------------
 
 def _myerson_linear_payoff(d1, z, alpha):
-    r_star = d1.monopoly_price()
-    hi = d1.grid_upper()
-
-    def integrand(x):
-        h = np.clip(alpha * d1.virtual_value_clamped(x), 0.0, None)
-        return (x - h) * z.cdf(h) * d1.pdf(x)
-
-    return _quad.integrate(integrand, r_star, hi)
+    # alpha psi(x) clears 0 at r* for every alpha > 0. alpha may exceed 1 here
+    # (payoff_derivative_alpha steps past it), which LinearShading rejects, so
+    # this does not go through payoff_quadrature
+    return _myerson_payoff(d1, lambda x: alpha * d1.virtual_value_clamped(x), z,
+                           d1.monopoly_price())
 
 
 def _vcg_competition_cdf(competitor_models, kind):
@@ -339,14 +341,8 @@ def directional_derivative(d1, beta: GridFunction, rho, z: CompetitionDistributi
             or np.any(slope - 1e-6 * wiggle <= 0):
         raise NonMonotone("perturbation breaks monotonicity of the bid function")
 
-    def h(x):
-        x = np.asarray(x, dtype=float)
-        return beta(x) + beta.derivative(x) * (d1.virtual_value_clamped(x) - x)
-
-    def direction(x):
-        x = np.asarray(x, dtype=float)
-        return rho_fn(x) + rho_deriv(x) * (d1.virtual_value_clamped(x) - x)
-
+    h = partial(virtualize, d1, beta, beta.derivative)
+    direction = partial(virtualize, d1, rho_fn, rho_deriv)
     x0 = _clearing_point(h, lo, hi)
     if x0 is None:
         return 0.0

@@ -1,20 +1,30 @@
 """Shading strategies: how a strategic bidder maps values to bids.
 
 Every strategy knows its bid function, the bid function's derivative, the
-induced bid distribution, and the virtualized bid psi_B(beta(x)) computed
-through the transform identity beta(x) + beta'(x) (psi_X(x) - x). Strategies
-built from a target virtualized bid h carry h in closed form; the grid route
-through the induced bid distribution is kept for cross-checking.
+induced bid distribution, and the virtualized bid psi_B(beta(x)). The
+transform identity psi_B(beta(x)) = beta(x) + beta'(x) (psi_X(x) - x) lives
+in `virtualize`; strategies and the payoff engines call it from there.
+Strategies built from a target virtualized bid h carry h in closed form; the
+grid route through the induced bid distribution is kept for cross-checking.
+Strategies are tabulated on the base model's `default_grid`, with their
+kinks as extra knots.
 """
 
 import numpy as np
 
 from . import _quad
-from .dist import (GRID_N, DistributionModel, GPDistribution, GPParams, GridDistribution,
+from .dist import (DistributionModel, GPDistribution, GPParams, GridDistribution,
                    GridFunction, make_gp, transform_distribution)
 from .errors import InvalidParams, NonMonotone, NonRegular
 
 DEFAULT_EPS = 1e-6  # the "0+" convention for one_vs_uniform_shading
+
+
+def virtualize(base: DistributionModel, fn, derivative, x):
+    """psi_B(fn(x)) for B = fn(X), X ~ base, by the transform identity
+    fn(x) + fn'(x) (psi_X(x) - x); psi_X is clamped to its valid range."""
+    x = np.asarray(x, dtype=float)
+    return fn(x) + derivative(x) * (base.virtual_value_clamped(x) - x)
 
 
 class ShadingStrategy:
@@ -31,8 +41,7 @@ class ShadingStrategy:
 
     def virtualized_bid(self, x):
         """psi_B(bid(x)) via the transform identity."""
-        x = np.asarray(x, dtype=float)
-        return self.bid(x) + self.bid_derivative(x) * (self.base.virtual_value_clamped(x) - x)
+        return virtualize(self.base, self.bid, self.bid_derivative, x)
 
     def bid_distribution(self) -> DistributionModel:
         """Distribution of B = bid(X); cached after first construction."""
@@ -45,11 +54,8 @@ class ShadingStrategy:
     def _make_bid_distribution(self) -> DistributionModel:
         return transform_distribution(self.base, self.as_grid_function())
 
-    def as_grid_function(self, n=GRID_N) -> GridFunction:
-        xs = self.base.default_grid(n)
-        if self.kinks:
-            xs = np.unique(np.concatenate([xs, np.asarray(self.kinks, dtype=float)]))
-            xs = xs[(xs >= xs[0]) & (xs <= self.base.grid_upper())]
+    def as_grid_function(self) -> GridFunction:
+        xs = self.base.default_grid(self.kinks)
         return GridFunction(xs, self.bid(xs))
 
 
@@ -82,12 +88,10 @@ class LinearShading(ShadingStrategy):
 class GridShading(ShadingStrategy):
     """bid(x) tabulated on a grid, optionally with a known target virtualized bid."""
 
-    def __init__(self, base, bid_function: GridFunction, target=None,
-                 target_derivative=None, kinks=()):
+    def __init__(self, base, bid_function: GridFunction, target=None, kinks=()):
         self.base = base
         self._bid_fn = bid_function
         self._target = target
-        self._target_deriv = target_derivative
         self.kinks = tuple(kinks)
 
     def bid(self, x):
@@ -113,14 +117,11 @@ class GridShading(ShadingStrategy):
     def _make_bid_distribution(self):
         if self._target is None:
             return super()._make_bid_distribution()
-        xs = self.base.default_grid()
-        ks = np.asarray(self.kinks, dtype=float)
-        if ks.size:
-            xs = np.unique(np.concatenate([xs, ks[(ks > xs[0]) & (ks < xs[-1])]]))
+        xs = self.base.default_grid(self.kinks)
         slope = np.clip(self.bid_derivative(xs), 1e-300, None)
         return GridDistribution(self.bid(xs), self.base.cdf(xs), self.base.pdf(xs) / slope)
 
-    def as_grid_function(self, n=GRID_N):
+    def as_grid_function(self):
         return self._bid_fn
 
 
@@ -164,17 +165,14 @@ def linear_shading(base: DistributionModel, alpha: float) -> ShadingStrategy:
     return LinearShading(base, alpha)
 
 
-def gamma_from_target(model: DistributionModel, h, kinks=(), n=GRID_N) -> GridFunction:
+def gamma_from_target(model: DistributionModel, h, kinks=()) -> GridFunction:
     """Solve the shading ODE so the virtualized bid equals h: gamma(x) = E[h(X) | X >= x].
 
     h must be increasing on the support. Tail integrals are computed with
     per-interval Gauss-Legendre panels accumulated from the upper endpoint;
     the upper endpoint itself takes the analytic limit gamma(u) = h(u).
     """
-    xs = model.default_grid(n)
-    ks = [k for k in kinks if xs[0] < k < xs[-1]]
-    if ks:
-        xs = np.unique(np.concatenate([xs, np.asarray(ks, dtype=float)]))
+    xs = model.default_grid(kinks)
     hx = np.asarray(h(xs), dtype=float)
     if np.any(np.diff(hx) < 0):
         raise NonMonotone("target h must be increasing on the support")
@@ -216,7 +214,7 @@ def equilibrium_shading(model: DistributionModel, k: int) -> ShadingStrategy:
         raise NonRegular("equilibrium shading requires a regular value distribution")
     beta_i = first_price_bid(model, k)
     gamma = gamma_from_target(model, beta_i)
-    return GridShading(model, gamma, target=beta_i, target_derivative=beta_i.derivative)
+    return GridShading(model, gamma, target=beta_i)
 
 
 def one_vs_uniform_shading(model: DistributionModel, k: int,
@@ -248,13 +246,9 @@ def one_vs_uniform_shading(model: DistributionModel, k: int,
         x = np.asarray(x, dtype=float)
         return np.where(x < x_eps, slope_lo * x, slope_hi * (x - 1.0 / (k - 1)))
 
-    def h_deriv(x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < x_eps, slope_lo, slope_hi)
-
     kinks = (x_eps,) if lo < x_eps < hi else ()
     gamma = gamma_from_target(model, h, kinks=kinks)
-    return GridShading(model, gamma, target=h, target_derivative=h_deriv, kinks=kinks)
+    return GridShading(model, gamma, target=h, kinks=kinks)
 
 
 def gp_reparam_shading(model: DistributionModel, params: GPParams) -> ShadingStrategy:
