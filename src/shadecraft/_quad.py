@@ -1,47 +1,71 @@
 """Adaptive Gauss-Legendre quadrature used by the payoff and shading engines.
 
-Integrands must accept and return numpy arrays.
+An integrand takes a 1-d array of points and returns its values there, as an
+array of the same length or as m rows for m functions integrated together. It
+must act elementwise: many panels share one call.
+
+`integrate` refines level by level. Its first call evaluates one 15-point
+panel per breakpoint segment; each later call evaluates both halves of every
+unresolved panel. A panel is resolved when its halves agree with it (in every
+row), at depth 48, or when the panel budget runs out, which warns.
 """
 
+import warnings
+
 import numpy as np
+from scipy.integrate import IntegrationWarning
 
 _NODES15, _WEIGHTS15 = np.polynomial.legendre.leggauss(15)
 _NODES10, _WEIGHTS10 = np.polynomial.legendre.leggauss(10)
+_REL_TOL, _ABS_TOL, _MAX_DEPTH = 1e-9, 1e-13, 48
 
 
-def _panel(f, a, b):
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(_WEIGHTS15, f(mid + half * _NODES15)))
+def _panels(f, lo, hi, nodes, weights):
+    """Gauss-Legendre integrals of f over each [lo[i], hi[i]] from one call of f;
+    shape (k,), or (m, k) when f returns m rows."""
+    mids = 0.5 * (hi + lo)
+    halfs = 0.5 * (hi - lo)
+    pts = mids[:, None] + halfs[:, None] * nodes[None, :]
+    vals = np.asarray(f(pts.ravel()))
+    vals = vals.reshape(vals.shape[:-1] + pts.shape)
+    return halfs * (vals @ weights)
 
 
-def _refine(f, a, b, whole, tol, depth, budget):
-    mid = 0.5 * (a + b)
-    left = _panel(f, a, mid)
-    right = _panel(f, mid, b)
-    total = left + right
-    budget[0] -= 2
-    # the floor keeps child tolerances meaningful at machine precision
-    if depth <= 0 or budget[0] <= 0 or abs(total - whole) <= max(tol, 4e-16 * abs(total)):
-        return total
-    child_tol = max(0.5 * tol, 1e-16 * abs(total))
-    return (_refine(f, a, mid, left, child_tol, depth - 1, budget)
-            + _refine(f, mid, b, right, child_tol, depth - 1, budget))
+def integrate(f, a, b, breakpoints=(), max_panels=100000):
+    """Integrate f over [a, b], splitting at interior breakpoints (kinks).
 
-
-def integrate(f, a, b, rel_tol=1e-9, abs_tol=1e-13, breakpoints=(), max_depth=48,
-              max_panels=100000):
-    """Integrate f over [a, b], splitting at interior breakpoints (kinks)."""
+    Returns a float, or an array of m integrals when f returns m rows."""
     if not b > a:
         return 0.0
-    pts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
-    rough = sum(abs(_panel(f, lo, hi)) for lo, hi in zip(pts[:-1], pts[1:]))
+    pts = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b], dtype=float)
+    lo, hi = pts[:-1], pts[1:]
+    whole = _panels(f, lo, hi, _NODES15, _WEIGHTS15)
+    rough = np.abs(whole).sum(axis=-1, keepdims=True)
+    tol = np.maximum(_ABS_TOL, _REL_TOL * rough) * (hi - lo) / (b - a)
     total = 0.0
-    budget = [max_panels]
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        tol = max(abs_tol, rel_tol * rough) * (hi - lo) / (b - a)
-        total += _refine(f, lo, hi, _panel(f, lo, hi), tol, max_depth, budget)
-    return total
+    budget = max_panels
+    for depth in range(_MAX_DEPTH, -1, -1):
+        k = lo.size
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        halves = _panels(f, lo, hi, _NODES15, _WEIGHTS15)
+        both = halves[..., :k] + halves[..., k:]
+        budget -= 2 * k
+        # the floor keeps child tolerances meaningful at machine precision
+        ok = np.abs(both - whole) <= np.maximum(tol, 4e-16 * np.abs(both))
+        done = ok.reshape(-1, k).all(axis=0)
+        if depth == 0 or budget <= 0:
+            if depth and not done.all():
+                warnings.warn(f"integral over [{a}, {b}] used up its budget of "
+                              f"{max_panels} panels", IntegrationWarning, stacklevel=2)
+            done[:] = True
+        total = total + both[..., done].sum(axis=-1)
+        if done.all():
+            break
+        keep = np.tile(~done, 2)
+        lo, hi, whole = lo[keep], hi[keep], halves[..., keep]
+        tol = np.tile(np.maximum(0.5 * tol, 1e-16 * np.abs(both))[..., ~done], 2)
+    return total if np.ndim(total) else float(total)
 
 
 def panel_integrals(f, knots):
@@ -51,8 +75,4 @@ def panel_integrals(f, knots):
     for integrands that are smooth within each interval.
     """
     knots = np.asarray(knots, dtype=float)
-    mids = 0.5 * (knots[1:] + knots[:-1])
-    halfs = 0.5 * (knots[1:] - knots[:-1])
-    pts = mids[:, None] + halfs[:, None] * _NODES10[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
-    return halfs * (vals @ _WEIGHTS10)
+    return _panels(f, knots[:-1], knots[1:], _NODES10, _WEIGHTS10)

@@ -442,15 +442,12 @@ def bsp_payoff_gradient(d1, p: GPParams, z: CompetitionDistribution,
         return np.zeros(3)
     cap = 1.0 if u1 is None else min(u1, 1.0)
 
-    out = np.zeros(3)
-    for comp in range(3):
-        def integrand(u, comp=comp):
-            psi = np.clip(_gp_virtual_of_u(p, u), 0.0, None)
-            x1 = d1.quantile(1.0 - u)
-            g = _grad_psi_of_u(p, u)[comp]
-            return g * ((x1 - psi) * z.pdf(psi) - z.cdf(psi))
+    def integrand(u):
+        psi = np.clip(_gp_virtual_of_u(p, u), 0.0, None)
+        x1 = d1.quantile(1.0 - u)
+        return _grad_psi_of_u(p, u) * ((x1 - psi) * z.pdf(psi) - z.cdf(psi))
 
-        out[comp] = _quad.integrate(integrand, 0.0, cap)
+    out = _quad.integrate(integrand, 0.0, cap)
 
     if include_point_mass and u1 is not None and u1 < 1.0:
         # boundary term: grad psi at the clearing point, times atom0 x1 f1(x1),

@@ -92,7 +92,6 @@ def setup():
 
 class TestMaximizeBSP:
 
-    @pytest.mark.slow
     def test_improves_on_truthful(self, setup):
         u, z = setup
         res = opt.maximize_bsp(u, z, dist.GPParams(0.0, 0.5, -0.5),
@@ -101,7 +100,6 @@ class TestMaximizeBSP:
         truthful = payoff.bsp_payoff(u, dist.GPParams(0.0, 1.0, -1.0), z)
         assert res.value >= truthful
 
-    @pytest.mark.slow
     def test_bounds_respected(self, setup):
         u, z = setup
         res = opt.maximize_bsp(u, z, dist.GPParams(0.0, 0.5, -0.5),
@@ -112,7 +110,6 @@ class TestMaximizeBSP:
         assert 0.05 <= p.sigma <= 1.5
         assert -3.0 <= p.xi <= -1e-6
 
-    @pytest.mark.slow
     def test_dominates_random_sample(self, setup):
         u, z = setup
         bounds = ((0.0, 0.5), (0.05, 1.5), (-3.0, -1e-6))

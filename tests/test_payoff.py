@@ -98,9 +98,6 @@ class TestPayoffQuadrature:
         def h(x):
             return np.maximum(0.0, (2 / 3) * (np.asarray(x, dtype=float) - 0.5))
 
-        def hd(x):
-            return np.where(np.asarray(x, dtype=float) < 0.5, 0.0, 2 / 3)
-
         gamma = shade.gamma_from_target(u, h, kinks=(0.5,))
         s = shade.GridShading(u, gamma, target=h, kinks=(0.5,))
         with_atom = payoff.payoff_quadrature(u, s, z_two_uniform).mean

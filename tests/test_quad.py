@@ -1,0 +1,153 @@
+"""Tests for the level-by-level quadrature engine in shadecraft._quad.
+
+The reference is the depth-first recursive engine that the level loop
+replaced: one 15-point panel per integrand call, the same acceptance rule.
+"""
+
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import IntegrationWarning
+
+from shadecraft import _quad, dist, payoff, shade
+
+_N15, _W15 = np.polynomial.legendre.leggauss(15)
+_N10, _W10 = np.polynomial.legendre.leggauss(10)
+
+
+def _ref_panel(f, a, b):
+    mid = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    return half * float(np.dot(_W15, f(mid + half * _N15)))
+
+
+def _ref_refine(f, a, b, whole, tol, depth, budget):
+    mid = 0.5 * (a + b)
+    left = _ref_panel(f, a, mid)
+    right = _ref_panel(f, mid, b)
+    total = left + right
+    budget[0] -= 2
+    if depth <= 0 or budget[0] <= 0 or abs(total - whole) <= max(tol, 4e-16 * abs(total)):
+        return total
+    child_tol = max(0.5 * tol, 1e-16 * abs(total))
+    return (_ref_refine(f, a, mid, left, child_tol, depth - 1, budget)
+            + _ref_refine(f, mid, b, right, child_tol, depth - 1, budget))
+
+
+def _ref_integrate(f, a, b, breakpoints=()):
+    pts = [a] + sorted(p for p in set(breakpoints) if a < p < b) + [b]
+    rough = sum(abs(_ref_panel(f, lo, hi)) for lo, hi in zip(pts[:-1], pts[1:]))
+    total = 0.0
+    budget = [100000]
+    for lo, hi in zip(pts[:-1], pts[1:]):
+        tol = max(1e-13, 1e-9 * rough) * (hi - lo) / (b - a)
+        total += _ref_refine(f, lo, hi, _ref_panel(f, lo, hi), tol, 48, budget)
+    return total
+
+
+def _ref_panel_integrals(f, knots):
+    knots = np.asarray(knots, dtype=float)
+    mids = 0.5 * (knots[1:] + knots[:-1])
+    halfs = 0.5 * (knots[1:] - knots[:-1])
+    pts = mids[:, None] + halfs[:, None] * _N10[None, :]
+    vals = f(pts.ravel()).reshape(pts.shape)
+    return halfs * (vals @ _W10)
+
+
+def _bound(f, a, b, breakpoints=()):
+    return 1e-9 * _ref_integrate(lambda x: np.abs(f(x)), a, b, breakpoints) + 1e-13
+
+
+intervals = st.tuples(st.floats(-5.0, 5.0), st.floats(1e-3, 10.0)).map(
+    lambda t: (t[0], t[0] + t[1]))
+
+
+def _between(antiderivative):
+    return lambda lo, hi: antiderivative(hi) - antiderivative(lo)
+
+
+@st.composite
+def integrands(draw):
+    """(f, exact, a, b, breakpoints): a cubic, exp(kx), sqrt|x - c| or |x - c|,
+    with exact(lo, hi) its integral over [lo, hi] in closed form."""
+    a, b = draw(intervals)
+    c = a + draw(st.floats(0.0, 1.0)) * (b - a)
+    kind = draw(st.sampled_from(["cubic", "exp", "sqrt", "abs", "abs-kink"]))
+    if kind == "cubic":
+        c0, c1, c2, c3 = draw(st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4))
+        return ((lambda x: ((c3 * x + c2) * x + c1) * x + c0),
+                _between(lambda x: (((c3 / 4 * x + c2 / 3) * x + c1 / 2) * x + c0) * x),
+                a, b, ())
+    if kind == "exp":
+        k = draw(st.floats(-5.0, 5.0))
+        exact = lambda lo, hi: np.exp(k * lo) * (np.expm1(k * (hi - lo)) / k if k else hi - lo)
+        return (lambda x: np.exp(k * x)), exact, a, b, ()
+    if kind == "sqrt":
+        return ((lambda x: np.sqrt(np.abs(x - c))),
+                _between(lambda x: np.sign(x - c) * np.abs(x - c) ** 1.5 * 2 / 3), a, b, ())
+    return ((lambda x: np.abs(x - c)), _between(lambda x: np.sign(x - c) * (x - c) ** 2 / 2),
+            a, b, ((c,) if kind == "abs-kink" else ()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(integrands())
+def test_agrees_with_recursive_reference(case):
+    f, _, a, b, breaks = case
+    got = _quad.integrate(f, a, b, breakpoints=breaks)
+    assert isinstance(got, float)
+    assert abs(got - _ref_integrate(f, a, b, breaks)) <= _bound(f, a, b, breaks)
+
+
+@settings(max_examples=100, deadline=None)
+@given(integrands(), integrands())
+def test_rows_integrate_together(first, second):
+    # Rows refine jointly, so each row is at least as accurate as its scalar
+    # integral: within the bound of it, or closer to the exact value. A row can
+    # be closer when the other row forces refinement near a kink that both
+    # halves of a coarse panel miss, e.g. |x - 2^-9| on [0, 1].
+    f, f_exact, a, b, breaks = first
+    g, g_exact = second[:2]
+    got = _quad.integrate(lambda x: np.stack([f(x), g(x)]), a, b, breakpoints=breaks)
+    assert got.shape == (2,)
+    for row, fn, exact in zip(got, (f, g), (f_exact, g_exact)):
+        alone = _quad.integrate(fn, a, b, breakpoints=breaks)
+        bound = _bound(fn, a, b, breaks)
+        assert abs(row - alone) <= bound \
+            or abs(row - exact(a, b)) <= abs(alone - exact(a, b)) + bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=60, unique=True))
+def test_panel_integrals_bit_equal_to_reference(knots):
+    knots = np.sort(knots)
+    f = lambda x: np.sin(x) * x ** 2 + 1.0
+    np.testing.assert_array_equal(_quad.panel_integrals(f, knots),
+                                  _ref_panel_integrals(f, knots))
+
+
+@pytest.mark.parametrize("model", [dist.make_uniform(), dist.make_gp(0.2, 1.0, -0.5),
+                                   dist.make_gp(0.0, 1.0, 0.0)])
+def test_panel_integrals_bit_equal_on_gamma_integrand(model):
+    # the integrand gamma_from_target builds for h(x) = max(0, 2/3 (x - 1/2))
+    h = lambda x: np.maximum(0.0, (2 / 3) * (np.asarray(x, dtype=float) - 0.5))
+    f = lambda t: np.asarray(h(t)) * model.pdf(t)
+    xs = model.default_grid((0.5,))
+    np.testing.assert_array_equal(_quad.panel_integrals(f, xs), _ref_panel_integrals(f, xs))
+
+
+def test_budget_exhaustion_warns():
+    with pytest.warns(IntegrationWarning, match=r"\[0\.0, 1\.0\].*40 panels"):
+        _quad.integrate(lambda x: np.sqrt(np.abs(x - 0.3)), 0.0, 1.0, max_panels=40)
+
+
+def test_paper_quadratures_do_not_warn():
+    u = dist.make_uniform()
+    z = payoff.competition_distribution([u, u])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert payoff.payoff_quadrature(u, shade.truthful(u), z).mean \
+            == pytest.approx(11 / 192, abs=1e-9)
+        payoff.bsp_payoff_gradient(u, dist.GPParams(0.0, 1 / 3, -1.0), z)
