@@ -240,7 +240,11 @@ def cmd_bsp_opt(cfg):
     seed = int(cfg.get("seed", 0))
     point_mass = bool(cfg.get("point_mass", True))
     restarts = int(cfg.get("restarts", 8))
+    if restarts < 0:
+        raise ConfigError("restarts", "must be >= 0")
     max_iter = int(cfg.get("max_iter", 200))
+    if max_iter < 1:
+        raise ConfigError("max_iter", "must be >= 1")
     out = _require(cfg, "out", str)
 
     z = payoff.competition_distribution(models)

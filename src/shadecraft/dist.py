@@ -35,6 +35,8 @@ class GPParams:
             raise InvalidParams(f"sigma must be positive, got {self.sigma}")
         if self.xi > 0:
             raise InvalidParams(f"xi must be <= 0 (heavy-tail branch unsupported), got {self.xi}")
+        if self.xi != 0 and not np.isfinite(self.mu - self.sigma / self.xi):
+            raise InvalidParams(f"xi = {self.xi} is too close to 0: the upper endpoint overflows")
 
 
 class GridFunction:

@@ -1,17 +1,21 @@
 """Optimizers used by strategic bidders: scalar shading levels and the
-3-parameter GP re-parametrization."""
+3-parameter GP re-parametrization.
+
+Each job has one search: a 64-point scan refined by scipy's bounded Brent
+search for the scalar level, and scipy's L-BFGS-B with the analytic payoff
+gradient for the GP parameters. `converged` is scipy's success flag, so a
+search that stops on its iteration budget reports False.
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import minimize, minimize_scalar
 
 from . import payoff as payoff_mod
 from .dist import GPParams
 from .errors import InvalidParams, OptimizationError
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-_ARMIJO = 1e-4
 _XI_CAP = -1e-6  # keep the optimizer off the exponential-branch switch
 
 
@@ -24,92 +28,44 @@ class OptResult:
 
 
 def maximize_scalar(objective, lo: float, hi: float, tol: float = 1e-8) -> OptResult:
-    """Coarse 64-point scan followed by golden-section refinement."""
+    """Coarse 64-point scan, then bounded Brent search (absolute tolerance
+    `tol`) between the neighbours of the best scan point; the best scan point
+    is kept when Brent does no better. `iterations` is 64 plus Brent's."""
     if not lo < hi or tol <= 0:
         raise InvalidParams("need lo < hi and tol > 0")
     xs = np.linspace(lo, hi, 64)
     fs = np.array([objective(float(x)) for x in xs])
     best = int(np.argmax(fs))
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, xs.size - 1)]
-    iters = xs.size
-
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = objective(float(c)), objective(float(d))
-    while b - a > tol:
-        iters += 1
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = objective(float(c))
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = objective(float(d))
-    x_star = float(0.5 * (a + b))
-    f_star = objective(x_star)
+    bracket = (xs[max(best - 1, 0)], xs[min(best + 1, xs.size - 1)])
+    res = minimize_scalar(lambda x: -objective(float(x)), bounds=bracket,
+                          method="bounded", options={"xatol": tol})
+    x_star, f_star = float(res.x), -float(res.fun)
     if fs[best] > f_star:
         x_star, f_star = float(xs[best]), float(fs[best])
-    return OptResult(argmax=x_star, value=float(f_star), iterations=iters, converged=True)
-
-
-def _project(x, bounds):
-    return np.array([min(max(v, b[0]), b[1]) for v, b in zip(x, bounds)])
-
-
-def _ascend(objective, gradient, x0, bounds, max_iter, gtol):
-    """Projected gradient ascent with Armijo backtracking (halving, <= 30)."""
-    x = _project(np.asarray(x0, dtype=float), bounds)
-    fx = objective(x)
-    iters = 0
-    converged = False
-    step = 1.0
-    for _ in range(max_iter):
-        iters += 1
-        g = gradient(x)
-        if not np.all(np.isfinite(g)):
-            break
-        # projected gradient accounts for active bound constraints
-        if np.linalg.norm(_project(x + g, bounds) - x) < gtol:
-            converged = True
-            break
-        step = min(step * 2.0, 1.0)
-        accepted = False
-        for _ in range(30):
-            x_new = _project(x + step * g, bounds)
-            move = x_new - x
-            if np.allclose(move, 0):
-                break
-            f_new = objective(x_new)
-            if np.isfinite(f_new) and f_new >= fx + _ARMIJO * float(g @ move):
-                x, fx = x_new, f_new
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            converged = True  # no admissible ascent step left at this scale
-            break
-    return x, fx, iters, converged
+    return OptResult(argmax=x_star, value=f_star, iterations=xs.size + int(res.nit),
+                     converged=bool(res.success))
 
 
 def maximize_bsp(d1, z, init: GPParams, bounds, restarts: int = 8,
-                 max_iter: int = 200, gtol: float = 1e-7, seed: int = 0,
+                 max_iter: int = 200, seed: int = 0,
                  include_point_mass: bool = True) -> OptResult:
     """Maximize the GP re-parametrized payoff over (mu, sigma, xi).
 
-    Projected gradient ascent from init plus `restarts` deterministic random
-    starts within bounds; returns the best run. xi is clamped below -1e-6.
+    One L-BFGS-B run with the analytic gradient from `init` (clipped into the
+    bounds) and from each of `restarts` seeded uniform starts within the
+    bounds, each capped at `max_iter` iterations; returns the best finite
+    run. sigma is kept positive and xi at or below -1e-6. `iterations` sums
+    over all starts; `converged` is scipy's success flag for the kept run.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     if len(bounds) != 3:
         raise InvalidParams("bounds must cover (mu, sigma, xi)")
+    if max_iter < 1 or restarts < 0:
+        raise InvalidParams(f"need max_iter >= 1 and restarts >= 0, got {max_iter}, {restarts}")
     if bounds[1][0] <= 0:
         bounds[1] = (1e-9, bounds[1][1])
     bounds[2] = (bounds[2][0], min(bounds[2][1], _XI_CAP))
-    x_init = np.array([init.mu, init.sigma, init.xi], dtype=float)
-    if np.any(x_init < [b[0] for b in bounds]) or np.any(x_init > [b[1] for b in bounds]):
-        x_init = _project(x_init, bounds)
+    x_init = np.clip([init.mu, init.sigma, init.xi], *np.array(bounds).T)
 
     def objective(x):
         return payoff_mod.bsp_payoff(d1, GPParams(*x), z)
@@ -123,30 +79,16 @@ def maximize_bsp(d1, z, init: GPParams, bounds, restarts: int = 8,
     for _ in range(restarts):
         starts.append(np.array([rng.uniform(lo, hi) for lo, hi in bounds]))
 
-    # short scouting runs from every start, then spend the full budget on the best
     best = None
     total_iters = 0
-    scout_iters = min(40, max_iter)
     for x0 in starts:
-        x, fx, iters, conv = _ascend(objective, gradient, x0, bounds, scout_iters, gtol)
-        total_iters += iters
-        if np.isfinite(fx) and (best is None or fx > best[1]):
-            best = (x, fx, conv)
+        res = minimize(lambda v: -objective(v), x0, jac=lambda v: -gradient(v),
+                       method="L-BFGS-B", bounds=bounds,
+                       options={"maxiter": max_iter, "ftol": 1e-14, "gtol": 1e-7})
+        total_iters += int(res.nit)
+        if np.isfinite(res.fun) and (best is None or res.fun < best.fun):
+            best = res
     if best is None:
         raise OptimizationError("all restarts diverged")
-    x, fx, conv = best
-    if not conv and max_iter > scout_iters:
-        x, fx, iters, conv = _ascend(objective, gradient, x, bounds,
-                                     max_iter - scout_iters, gtol)
-        total_iters += iters
-    if not conv:
-        # quasi-Newton polish with the same analytic gradient; pure gradient
-        # ascent creeps along the curved (mu, sigma, xi) ridge
-        res = minimize(lambda v: -objective(v), x, jac=lambda v: -gradient(v),
-                       method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": max_iter, "ftol": 1e-14, "gtol": gtol})
-        total_iters += int(res.nit)
-        if np.isfinite(res.fun) and -res.fun >= fx:
-            x, fx, conv = _project(res.x, bounds), -res.fun, True
-    return OptResult(argmax=GPParams(*x), value=float(fx),
-                     iterations=total_iters, converged=bool(conv))
+    return OptResult(argmax=GPParams(*best.x), value=-float(best.fun),
+                     iterations=total_iters, converged=bool(best.success))

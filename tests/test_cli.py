@@ -148,6 +148,16 @@ class TestBspOpt:
         assert cli.main(["bsp-opt", cfg]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("field,value", [("restarts", -1), ("max_iter", 0)])
+    def test_invalid_budget_exits_2(self, tmp_path, capsys, field, value):
+        out = tmp_path / "bsp.json"
+        cfg = write_config(tmp_path, "c.json", {
+            "value": {"kind": "gp", "mu": 0, "sigma": 1, "xi": -1},
+            field: value, "out": str(out)})
+        assert cli.main(["bsp-opt", cfg]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSimulate:
     def _config(self, tmp_path, out, mechanism):

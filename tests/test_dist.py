@@ -21,6 +21,14 @@ class TestGPParams:
         with pytest.raises(InvalidParams):
             dist.make_gp(0.0, 1.0, 0.5)
 
+    def test_rejects_xi_whose_endpoint_overflows(self):
+        # mu - sigma/xi overflows for a subnormal xi; the optimizer's cap
+        # and the exponential branch still construct
+        with pytest.raises(InvalidParams):
+            dist.make_gp(0.0, 1.0, -1e-311)
+        assert dist.make_gp(0.0, 1.0, -1e-6).support == (0.0, 1e6)
+        assert dist.make_gp(0.0, 1.0, 0.0).support[1] == np.inf
+
     def test_support(self):
         assert dist.make_gp(0, 2, -1).support == (0.0, 2.0)
         assert dist.make_gp(1, 1, -0.5).support == (1.0, 3.0)

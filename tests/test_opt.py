@@ -55,39 +55,14 @@ class TestMaximizeScalar:
         assert res.value >= bumps(samples).max() - 1e-6
 
 
-class TestAscent:
-    def test_concave_quadratic_with_bounds(self):
-        target = np.array([0.7, -0.2, 0.4])
-        bounds = [(0.0, 1.0), (0.0, 1.0), (0.0, 1.0)]
-        objective = lambda x: -float(np.sum((x - target) ** 2))
-        gradient = lambda x: -2.0 * (x - target)
-        x, fx, iters, conv = opt._ascend(objective, gradient, np.array([0.9, 0.9, 0.9]),
-                                         bounds, max_iter=200, gtol=1e-9)
-        np.testing.assert_allclose(x, [0.7, 0.0, 0.4], atol=1e-6)
-        assert conv
-
-    def test_monotone_accepted_steps(self):
-        # accepted iterates never decrease the objective
-        history = []
-        target = np.array([0.5, 0.5, 0.5])
-
-        def objective(x):
-            v = -float(np.sum((x - target) ** 2))
-            return v
-
-        def gradient(x):
-            history.append(objective(x))
-            return -2.0 * (x - target)
-
-        opt._ascend(objective, gradient, np.zeros(3), [(0, 1)] * 3, 100, 1e-10)
-        assert all(b >= a - 1e-12 for a, b in zip(history, history[1:]))
-
-
 @pytest.fixture(scope="module")
 def setup():
     u = dist.make_uniform()
     z = payoff.competition_distribution(uniforms(2))
     return u, z
+
+
+BOX = ((0.0, 0.5), (0.05, 1.5), (-3.0, -1e-6))
 
 
 class TestMaximizeBSP:
@@ -130,3 +105,24 @@ class TestMaximizeBSP:
         assert res.converged
         assert res.argmax.sigma == pytest.approx(1 / 3, abs=1e-9)
         assert res.argmax.xi == pytest.approx(-1.0, abs=1e-9)
+
+    def test_budget_stop_is_not_converged(self, setup):
+        u, z = setup
+        res = opt.maximize_bsp(u, z, dist.GPParams(0.0, 0.5, -0.5), BOX,
+                               restarts=0, max_iter=1)
+        assert res.converged is False
+
+    def test_reaches_argmax(self, setup):
+        u, z = setup
+        res = opt.maximize_bsp(u, z, dist.GPParams(0.0, 0.5, -0.5), BOX,
+                               restarts=2, seed=1)
+        assert res.converged
+        assert res.value == pytest.approx(0.130718, abs=1e-6)
+        np.testing.assert_allclose([res.argmax.mu, res.argmax.sigma, res.argmax.xi],
+                                   [0.0859, 0.0880, -0.0551], atol=1e-3)
+
+    @pytest.mark.parametrize("budget", [{"max_iter": 0}, {"restarts": -1}])
+    def test_rejects_empty_budget(self, setup, budget):
+        u, z = setup
+        with pytest.raises(InvalidParams):
+            opt.maximize_bsp(u, z, dist.GPParams(0.0, 0.5, -0.5), BOX, **budget)

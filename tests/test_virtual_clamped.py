@@ -24,7 +24,7 @@ gp_models = st.builds(
     dist.make_gp,
     st.floats(-1.0, 1.0),
     st.floats(0.1, 3.0),
-    st.one_of(st.just(0.0), st.just(-1.0), st.floats(-3.0, 0.0)),
+    st.one_of(st.just(0.0), st.just(-1.0), st.floats(-3.0, 0.0, allow_subnormal=False)),
 )
 models = st.one_of(gp_models, st.sampled_from(GRID_MODELS))
 unit = st.floats(0.0, 1.0)
