@@ -7,6 +7,7 @@ Both expose the same surface: cdf, sf, pdf, quantile, mean, virtual value,
 inverse virtual value, hazard rate and sampling.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,95 @@ from .errors import InvalidParams, NonMonotone, NonRegular, OutOfSupport
 GRID_N = 2048            # default knot count for grid-backed models
 TAIL_CDF_CUTOFF = 1e-9   # virtual values on grids are only evaluated for F <= 1 - cutoff
 INF_TRUNC_Q = 1.0 - 1e-10  # quantile at which unbounded supports are truncated for grids
+# Batches smaller than this go to scipy's compiled PPoly evaluation, which
+# gives the same bits and wins on small batches, such as the ~15 points of
+# a quadrature panel. Values on the 2,048-knot uniform bid table, scipy
+# against numpy (2-core host): 9/42 us at 16 points, 28/51 at 512, 97/58
+# at 1,024; with the slope too, 97/64 at 512.
+_NUMPY_MIN_POINTS = 1024
+
+
+def _power_sum(c, i, s):
+    """sum_k c[-1 - k, i] * s**k, term by term in scipy PPoly's order."""
+    out = c[-1][i]
+    power = s
+    for k, row in enumerate(c[-2::-1]):
+        if k:
+            power = power * s
+        out += row[i] * power
+    return out
+
+
+def _signless_zeros(pp):
+    # scipy starts each sum from 0.0, turning a constant term of -0.0 into
+    # 0.0; doing that here once changes none of scipy's results and lets a
+    # numpy sum start from the constant term
+    pp.c[-1] += 0.0
+    return pp
+
+
+class _Table:
+    """Fritsch-Carlson PCHIP interpolant of (x, y) and its slope, both
+    extrapolated from the end intervals and evaluated bit for bit as scipy's
+    PchipInterpolator evaluates them.
+
+    Large batches locate each point's interval once, for value and slope
+    together. On knots that are equispaced to within one interval the index
+    is an affine guess with a one-step correction; otherwise it is a binary
+    search on the interior knots.
+    """
+
+    def __init__(self, x, y, slopes=None):
+        self._pp = _signless_zeros(PchipInterpolator(x, y, extrapolate=True))
+        if slopes is not None:
+            self._dpp = _signless_zeros(PchipInterpolator(x, slopes, extrapolate=True))
+        self.x = self._pp.x
+        self._scale = (self.x.size - 1) / (self.x[-1] - self.x[0])
+        # the guess is monotone in q, so it is within one interval of every
+        # point's interval when it is for every knot
+        miss = self._guess(self.x) - np.arange(self.x.size)
+        if np.any((miss < -1) | (miss > 0)):
+            self._scale = None
+
+    @functools.cached_property
+    def _dpp(self):
+        # the slope: the interpolant's derivative, or the PCHIP of the
+        # tabulated slopes given at construction (a cdf table's density)
+        return _signless_zeros(self._pp.derivative())
+
+    def _guess(self, q):
+        # NaN and +inf guess the last interval, as searchsorted sorts them
+        return np.fmin(np.maximum((q - self.x[0]) * self._scale, 0.0),
+                       self.x.size - 2).astype(np.intp)
+
+    def interval(self, q):
+        """np.searchsorted(x[1:-1], q, side="right"): the polynomial piece at q."""
+        if self._scale is None:
+            return np.searchsorted(self.x[1:-1], q, side="right")
+        i = self._guess(q)
+        return np.clip(i + (q >= self.x[i + 1]) - (q < self.x[i]), 0, self.x.size - 2)
+
+    def _eval(self, q, *pps):
+        flat = q.ravel()
+        i = self.interval(flat)
+        s = flat - self.x[i]
+        # scipy's compiled loop is silent where inf - inf makes a NaN
+        with np.errstate(invalid="ignore", over="ignore"):
+            return tuple(_power_sum(pp.c, i, s).reshape(q.shape) for pp in pps)
+
+    def __call__(self, q):
+        q = np.asarray(q, dtype=float)
+        return self._pp(q) if q.size < _NUMPY_MIN_POINTS else self._eval(q, self._pp)[0]
+
+    def slope(self, q):
+        q = np.asarray(q, dtype=float)
+        return self._dpp(q) if q.size < _NUMPY_MIN_POINTS else self._eval(q, self._dpp)[0]
+
+    def value_and_slope(self, q):
+        q = np.asarray(q, dtype=float)
+        if q.size < _NUMPY_MIN_POINTS:
+            return self._pp(q), self._dpp(q)
+        return self._eval(q, self._pp, self._dpp)
 
 
 @dataclass(frozen=True)
@@ -59,9 +149,8 @@ class GridFunction:
             raise NonMonotone("values must be strictly increasing")
         self.knots = knots
         self.values = values
-        self._interp = PchipInterpolator(knots, values, extrapolate=True)
-        self._deriv = self._interp.derivative()
-        if np.any(self._deriv(knots) <= 0):
+        self._table = _Table(knots, values)
+        if np.any(self._table.slope(knots) <= 0):
             raise NonMonotone("interpolant derivative must be positive on the knot range")
 
     @classmethod
@@ -71,13 +160,12 @@ class GridFunction:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        out = self._interp(x)
-        # knots evaluate to the stored values exactly
-        idx = np.clip(np.searchsorted(self.knots, x), 0, self.knots.size - 1)
-        return np.where(self.knots[idx] == x, self.values[idx], out)
+        # each knot but the last starts a piece (s = 0), where the cubic is
+        # exactly the stored value
+        return np.where(x == self.knots[-1], self.values[-1], self._table(x))
 
     def derivative(self, x):
-        return self._deriv(np.asarray(x, dtype=float))
+        return self._table.slope(x)
 
 
 class DistributionModel:
@@ -287,17 +375,17 @@ class GridDistribution(DistributionModel):
             raise InvalidParams("cdf values must lie in [0, 1]")
         self.knots = knots
         self.cdf_values = np.clip(cdf_values, 0.0, 1.0)
-        self._F = PchipInterpolator(self.knots, self.cdf_values, extrapolate=False)
         if pdf_values is None:
-            pdf_values = self._F.derivative()(knots)
+            pdf_values = PchipInterpolator(knots, self.cdf_values).derivative()(knots)
         else:
             pdf_values = np.asarray(pdf_values, dtype=float)
         if np.any(~np.isfinite(pdf_values)) or np.any(pdf_values[1:-1] <= 0):
             raise InvalidParams("density must be finite and positive on the support interior")
         self.pdf_values = np.clip(pdf_values, 0.0, None)
-        self._f = PchipInterpolator(self.knots, self.pdf_values, extrapolate=False)
+        # cdf F and density f: one table, so that they share each lookup
+        self._F = _Table(self.knots, self.cdf_values, self.pdf_values)
         with np.errstate(divide="ignore", over="ignore"):
-            self._Q = PchipInterpolator(self.cdf_values, self.knots, extrapolate=False)
+            self._Q = _Table(self.cdf_values, self.knots)
 
         # virtual value tabulated where the tail is numerically safe
         cutoff = 1.0 - TAIL_CDF_CUTOFF
@@ -314,20 +402,19 @@ class GridDistribution(DistributionModel):
             if x_c > xs[-1] + 1e-15 * (self.knots[-1] - self.knots[0]):
                 xs = np.append(xs, x_c)
                 fcdf = np.append(fcdf, cutoff)
-                fpdf = np.append(fpdf, np.clip(self._f(x_c), 0.0, None))
+                fpdf = np.append(fpdf, np.clip(self._F.slope(x_c), 0.0, None))
         psi = xs - (1.0 - fcdf) / np.clip(fpdf, 1e-300, None)
         self._psi_knots = xs
         self._psi_values = psi
         # regularity is only decidable up to the grid's own resolution
         scale = max(abs(psi[0]), abs(psi[-1]), 1e-6)
         self._regular = bool(np.all(np.diff(psi) > -1e-9 * scale))
-        self._psi = PchipInterpolator(xs, psi, extrapolate=True)
-        self._psi_deriv = self._psi.derivative()
+        self._psi = _Table(xs, psi)
         if self._regular:
             # inverse built on the strictly increasing envelope of the table
             keep = np.concatenate([[True], np.diff(np.maximum.accumulate(psi)) > 0])
             with np.errstate(divide="ignore", over="ignore"):
-                self._psi_inv = PchipInterpolator(psi[keep], xs[keep], extrapolate=True)
+                self._psi_inv = _Table(psi[keep], xs[keep])
         else:
             self._psi_inv = None
 
@@ -346,7 +433,7 @@ class GridDistribution(DistributionModel):
         x = np.asarray(x, dtype=float)
         inside = (x >= self.knots[0]) & (x <= self.knots[-1])
         out = np.zeros_like(x, dtype=float)
-        out[inside] = np.clip(self._f(x[inside]), 0.0, None)
+        out[inside] = np.clip(self._F.slope(x[inside]), 0.0, None)
         return out
 
     def quantile(self, q):
@@ -357,9 +444,8 @@ class GridDistribution(DistributionModel):
         x = self._Q(qc)
         # Newton refinement against the forward interpolant
         for _ in range(3):
-            err = self._F(np.clip(x, self.knots[0], self.knots[-1])) - qc
-            slope = np.clip(self._f(np.clip(x, self.knots[0], self.knots[-1])), 1e-12, None)
-            x = np.clip(x - err / slope, self.knots[0], self.knots[-1])
+            cdf, pdf = self._F.value_and_slope(np.clip(x, self.knots[0], self.knots[-1]))
+            x = np.clip(x - (cdf - qc) / np.clip(pdf, 1e-12, None), self.knots[0], self.knots[-1])
         return x
 
     def mean(self):
@@ -400,7 +486,8 @@ class GridDistribution(DistributionModel):
         # damped Newton: skip updates in near-flat regions of psi
         for _ in range(3):
             x = np.clip(x, lo, hi)
-            step = (self._psi(x) - t) / np.clip(self._psi_deriv(x), 1e-12, None)
+            psi, slope = self._psi.value_and_slope(x)
+            step = (psi - t) / np.clip(slope, 1e-12, None)
             step = np.where(np.abs(step) > 0.05 * (hi - lo), 0.0, step)
             x = x - step
         return np.clip(x, lo, hi)
@@ -421,7 +508,7 @@ class GridDistribution(DistributionModel):
         out = np.zeros_like(t, dtype=float)
         mid = (t >= self._psi_values[0]) & (t <= self._psi_values[-1])
         x = self._inverse_virtual_clamped(t[mid])
-        out[mid] = self.pdf(x) / np.clip(self._psi_deriv(x), 1e-12, None)
+        out[mid] = self.pdf(x) / np.clip(self._psi.slope(x), 1e-12, None)
         return out
 
 

@@ -139,6 +139,19 @@ class TestGridFunction:
         g = dist.GridFunction(xs, np.exp(xs))
         np.testing.assert_array_equal(g(xs), np.exp(xs))
 
+    @pytest.mark.parametrize("xs", [
+        np.unique(np.concatenate([np.linspace(0, 1, 4097), [0.1234, 0.5e-3, 0.777]])),
+        dist.make_uniform().default_grid(np.linspace(0, 1, 4097)),
+    ])
+    def test_exact_at_knots_in_a_large_batch(self, xs):
+        # a batch this large takes the numpy evaluation, which must return
+        # every stored value exactly, the last knot's included
+        assert xs.size >= dist._NUMPY_MIN_POINTS
+        values = np.exp(xs)
+        g = dist.GridFunction(xs, values)
+        np.testing.assert_array_equal(g(xs), values)
+        np.testing.assert_array_equal(g(xs[::-1]), values[::-1])
+
     def test_rejects_non_monotone(self):
         with pytest.raises(NonMonotone):
             dist.GridFunction([0, 1, 2], [0, 2, 1])

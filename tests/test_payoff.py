@@ -133,6 +133,25 @@ class TestMonteCarlo:
                                           workers=w) for w in (1, 4, 16)]
         assert runs[0] == runs[1] == runs[2]
 
+    def test_grid_path_worker_invariance(self, monkeypatch):
+        # K=3 uniform equilibrium under Myerson: bids, virtual values and
+        # payments all come from grid tables, in batches above the numpy
+        # crossover; 3 chunks of rounds
+        models = uniforms(3)
+        strategies = [shade.equilibrium_shading(m, 3) for m in models]
+        cfg = mech.fit_mechanism("myerson", [s.bid_distribution() for s in strategies])
+        rounds = 3 * payoff._CHUNK
+
+        def run(workers):
+            return payoff.payoff_monte_carlo(models, strategies, cfg, rounds, seed=11,
+                                             workers=workers)
+
+        runs = [run(w) for w in (1, 2, 4)]
+        assert runs[0] == runs[1] == runs[2]
+        # the same run with every table call evaluated by scipy
+        monkeypatch.setattr(dist, "_NUMPY_MIN_POINTS", np.inf)
+        assert run(1) == runs[0]
+
     def test_env_var_workers(self, monkeypatch):
         monkeypatch.setenv("SHADECRAFT_WORKERS", "4")
         assert payoff._resolve_workers(None) == 4

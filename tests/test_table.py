@@ -1,0 +1,137 @@
+"""The grid layer's PCHIP table against scipy's PchipInterpolator.
+
+Batches at or above dist._NUMPY_MIN_POINTS are evaluated in numpy with one
+interval lookup shared by value and slope. These tests lower that crossover
+to 0, so they exercise the numpy path whatever its value, and require it to
+give the same bits as scipy on equispaced knots, on default grids merged
+with kink knots and on strongly non-uniform (geometric) knots, for queries
+inside, exactly at the knots, beyond both ends, NaN, 0-d and empty.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
+
+from shadecraft import dist, shade
+
+
+def equispaced(draw):
+    lo = draw(st.floats(-10.0, 10.0))
+    span = draw(st.floats(1e-3, 1e3))
+    return np.linspace(lo, lo + span, draw(st.integers(2, 3000)))
+
+
+def default_grid_with_kinks(draw):
+    model = draw(st.sampled_from([dist.make_uniform(), dist.make_gp(0.2, 1.0, -0.5),
+                                  dist.make_gp(0.0, 1.0, -2.0)]))
+    lo, hi = model.support[0], model.grid_upper()
+    kinks = draw(st.lists(st.floats(1e-3, 1.0 - 1e-3), max_size=6))
+    return model.default_grid(lo + (hi - lo) * np.asarray(kinks))
+
+
+def geometric(draw):
+    # spacing ratio between the widest and the narrowest interval >= 500
+    ratio = draw(st.floats(600.0, 1e5))
+    n = draw(st.integers(3, 3000))
+    x = draw(st.floats(-5.0, 5.0)) + np.geomspace(1.0, ratio ** ((n - 1) / (n - 2)), n)
+    assert np.diff(x).max() / np.diff(x).min() >= 500
+    return x
+
+
+@st.composite
+def tables(draw):
+    x = draw(st.sampled_from([equispaced, default_grid_with_kinks, geometric]))(draw)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(["increasing", "any"]))
+    y = np.cumsum(rng.exponential(size=x.size)) if shape == "increasing" \
+        else rng.normal(size=x.size)
+    # signed zeros: scipy's sums start from 0.0, which drops the sign of -0.0
+    y[rng.random(x.size) < 0.05] = draw(st.sampled_from([0.0, -0.0]))
+    slopes = draw(st.sampled_from([None, rng.exponential(size=x.size)]))
+    return x, y, slopes
+
+
+@st.composite
+def queries(draw, x):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    span = x[-1] - x[0]
+    parts = [
+        rng.uniform(x[0], x[-1], draw(st.integers(0, 3000))),
+        x[rng.integers(0, x.size, draw(st.integers(0, 200)))],
+        x[[0, -1]],
+        x[0] - span * rng.exponential(size=draw(st.integers(0, 20))),
+        x[-1] + span * rng.exponential(size=draw(st.integers(0, 20))),
+        np.array(draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf]), max_size=4))),
+    ]
+    q = rng.permutation(np.concatenate(parts))
+    return draw(st.sampled_from([q, q[:0], q[:1].reshape(()),
+                                 q[: q.size // 2 * 2].reshape(2, -1)]))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_numpy_path_is_bit_equal_to_scipy(data):
+    x, y, slopes = data.draw(tables())
+    q = data.draw(queries(x))
+    value = PchipInterpolator(x, y, extrapolate=True)
+    slope = value.derivative() if slopes is None else PchipInterpolator(x, slopes)
+    table = dist._Table(x, y, slopes)
+    with mock.patch.object(dist, "_NUMPY_MIN_POINTS", 0):
+        assert_same_bits(table(q), value(q))
+        assert_same_bits(table.slope(q), slope(q))
+        both = table.value_and_slope(q)
+    assert_same_bits(both[0], value(q))
+    assert_same_bits(both[1], slope(q))
+    # below the crossover the table hands the batch to scipy itself
+    with mock.patch.object(dist, "_NUMPY_MIN_POINTS", q.size + 1):
+        assert_same_bits(table(q), value(q))
+        assert_same_bits(table.value_and_slope(q)[1], slope(q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_interval_is_scipys_extrapolating_search(data):
+    x, y, _ = data.draw(tables())
+    q = data.draw(queries(x))
+    np.testing.assert_array_equal(dist._Table(x, y).interval(q),
+                                  np.searchsorted(x[1:-1], q, side="right"))
+
+
+@pytest.mark.parametrize("x, affine", [
+    (np.linspace(0.0, 1.0, 2048), True),
+    (np.linspace(-3.0, 7.0, 5), True),
+    (dist.make_uniform().default_grid([0.3141, 0.5001, 0.77]), True),
+    (np.geomspace(1.0, 1e3, 300), False),
+])
+def test_lookup_is_chosen_from_the_knots(x, affine):
+    assert (dist._Table(x, np.arange(x.size, dtype=float))._scale is not None) == affine
+
+
+def test_uniform_equilibrium_tables_take_the_affine_lookup():
+    # the Monte Carlo hot path: the K=3 uniform equilibrium bid table and its
+    # bid distribution's psi and psi^-1 tables
+    strategy = shade.equilibrium_shading(dist.make_uniform(), 3)
+    bids = strategy.bid_distribution()
+    for table in (strategy.as_grid_function()._table, bids._psi, bids._psi_inv):
+        assert table._scale is not None
+
+
+def test_signed_zero_at_a_knot():
+    # scipy's sum starts from 0.0: a stored -0.0 on a decreasing run, where
+    # every other term is -0.0 too, evaluates to +0.0
+    x = np.arange(5.0)
+    y = np.array([2.0, 0.2, -0.0, -0.5, -2.0])
+    with mock.patch.object(dist, "_NUMPY_MIN_POINTS", 0):
+        assert_same_bits(dist._Table(x, y)(x), PchipInterpolator(x, y)(x))
