@@ -10,13 +10,15 @@ price parameter gradient all account for it explicitly.
 The reserve-clearing rule, the smallest value whose virtualized bid is
 >= 0, lives in `_clearing_point`; the Myerson payoff integrand, over the
 values from that point up, lives in `_myerson_payoff`. Virtualized bids come
-from `shade.virtualize`.
+from `shade.virtualize`. Linear shading (bid alpha x) has its own integrand,
+`_linear_integral`: one row per alpha, for payoffs or their exact
+alpha-derivatives, under Myerson or VCG reserves.
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 from scipy.optimize import brentq
@@ -29,6 +31,17 @@ from .shade import ShadingStrategy, virtualize
 
 _CHUNK = 1 << 16  # Monte Carlo rounds per counter-keyed chunk
 _EPS4 = 4 * np.finfo(float).eps  # brentq's smallest relative tolerance
+
+
+def _product_density(t, cdfs, pdfs):
+    """Derivative of prod_i F_i: sum_i f_i prod_{j != i} F_j, summed in index order."""
+    out = np.zeros_like(t)
+    for i, p in enumerate(pdfs):
+        for j, c in enumerate(cdfs):
+            if j != i:
+                p = p * c
+        out = out + p
+    return out
 
 
 class CompetitionDistribution:
@@ -61,14 +74,12 @@ class CompetitionDistribution:
         t = np.asarray(t, dtype=float)
         cdfs = [m._cdf_of_virtual(t) for m in self.models]
         pdfs = [m._pdf_of_virtual(t) for m in self.models]
-        out = np.zeros_like(t)
-        for i in range(len(self.models)):
-            prod = pdfs[i]
-            for j in range(len(self.models)):
-                if j != i:
-                    prod = prod * cdfs[j]
-            out = out + prod
-        return np.where(t <= 0, 0.0, out)
+        return np.where(t <= 0, 0.0, _product_density(t, cdfs, pdfs))
+
+    def law(self, t, density=False):
+        """(cdf(t), pdf(t) if density else None), the pair a linear-shading
+        integrand reads (see _linear_competition)."""
+        return self.cdf(t), self.pdf(t) if density else None
 
     def with_atom0(self, value):
         return CompetitionDistribution(self.models, atom0=value)
@@ -252,62 +263,86 @@ def first_price_payoff(d1, beta_i: GridFunction, k: int) -> float:
 # Linear shading curves and derivatives
 # ----------------------------------------------------------------------
 
-def _myerson_linear_payoff(d1, z, alpha):
-    # alpha psi(x) clears 0 at r* for every alpha > 0. alpha may exceed 1 here
-    # (payoff_derivative_alpha steps past it), which LinearShading rejects, so
-    # this does not go through payoff_quadrature
-    return _myerson_payoff(d1, lambda x: alpha * d1.virtual_value_clamped(x), z,
-                           d1.monopoly_price())
+def _linear_competition(competitor_models, kind):
+    """The competition a linear shader faces, as (law, kinks, virtual).
 
-
-def _vcg_competition_cdf(competitor_models, kind):
+    law(t, density) returns its cdf at t and, if density, its pdf (else None).
+    Under Myerson it is met by the virtualized bid alpha psi(x) (virtual). Under
+    VCG it is met by the bid alpha x and is G = prod H_i, with H_i = F_i (lazy)
+    or max(F_i(r_i), F_i) (eager). An eager H_i has zero density below the
+    reserve r_i, so G kinks there: the reserves are the kinks."""
+    if kind == "myerson":
+        return competition_distribution(competitor_models).law, (), True
+    if kind not in ("vcg-lazy", "vcg-eager"):
+        raise InvalidParams(f"unsupported mechanism kind for linear curves: {kind!r}")
+    eager = kind == "vcg-eager"
     models = tuple(competitor_models)
-    reserves = [m.monopoly_price() for m in models]
+    reserves = [m.monopoly_price() if eager else -np.inf for m in models]
+    floors = [m.cdf(r) if eager else 0.0 for m, r in zip(models, reserves)]
 
-    def big_g(t):
-        t = np.asarray(t, dtype=float)
-        out = np.ones_like(t)
-        for m, r in zip(models, reserves):
-            if kind == "vcg-lazy":
-                out = out * m.cdf(t)
-            else:
-                out = out * np.maximum(m.cdf(r), m.cdf(t))
-        return out
+    def law(t, density=False):
+        cdfs = [np.maximum(f_r, m.cdf(t)) for m, f_r in zip(models, floors)]
+        cdf = reduce(np.multiply, cdfs, np.ones_like(t))
+        if not density:
+            return cdf, None
+        pdfs = [np.where(t > r, m.pdf(t), 0.0) for m, r in zip(models, reserves)]
+        return cdf, _product_density(t, cdfs, pdfs)
 
-    return big_g
+    return law, reserves if eager else (), False
 
 
-def _vcg_linear_payoff(d1, big_g, alpha):
-    r_star = d1.monopoly_price()
-    hi = d1.grid_upper()
+def _linear_integral(d1, law, kinks, virtual, alphas, slope=False):
+    """Linear-shading payoffs at each alpha, or with slope their alpha-derivatives,
+    as one integral over [r*, grid upper] with a row per alpha. With p = max(psi, 0),
+    s = p (virtual) or x and C, c the competition's cdf and pdf at alpha s, a row
+    is (x - alpha p) C f, or [(x - alpha p) s c - p C] f. r* does not move with
+    alpha, so no point-mass term enters the derivative."""
+    a = np.asarray(alphas, dtype=float)[:, None]
 
     def integrand(x):
-        return (x - alpha * d1.virtual_value_clamped(x)) * big_g(alpha * x) * d1.pdf(x)
+        p = np.clip(d1.virtual_value_clamped(x), 0.0, None)
+        s = p if virtual else x
+        cdf, pdf = law(a * s, density=slope)
+        net = x - a * p
+        return (net * s * pdf - p * cdf if slope else net * cdf) * d1.pdf(x)
 
-    return _quad.integrate(integrand, r_star, hi)
+    breaks = [r / alpha for r in kinks for alpha in a.ravel()]
+    # the zeros give every row a value when [r*, grid upper] is empty
+    return np.zeros(len(a)) + _quad.integrate(integrand, d1.monopoly_price(),
+                                              d1.grid_upper(), breakpoints=breaks)
+
+
+def _myerson_linear_payoff(d1, z, alpha):
+    # alpha may exceed 1 here, which LinearShading rejects
+    return float(_linear_integral(d1, z.law, (), True, [alpha])[0])
+
+
+def _check_alphas(alphas):
+    for a in alphas:
+        if not 0 < a <= 1:
+            raise InvalidParams(f"alpha must lie in (0, 1], got {a}")
 
 
 def linear_payoff_curve(d1, competitor_models, cfg_kind, alphas):
-    """(alpha, payoff) pairs for a linearly shading bidder; the seller refits
-    reserves (Myerson virtualization or monopoly VCG reserves) to the bids."""
-    if cfg_kind == "myerson":
-        z = competition_distribution(competitor_models)
-        evaluate = lambda a: _myerson_linear_payoff(d1, z, a)
-    elif cfg_kind in ("vcg-lazy", "vcg-eager"):
-        big_g = _vcg_competition_cdf(competitor_models, cfg_kind)
-        evaluate = lambda a: _vcg_linear_payoff(d1, big_g, a)
-    else:
-        raise InvalidParams(f"unsupported mechanism kind for linear curves: {cfg_kind!r}")
-    return [(float(a), evaluate(float(a))) for a in alphas]
+    """(alpha, payoff) pairs for a bidder who bids alpha x, each alpha in (0, 1],
+    against truthful competitors; the seller refits reserves to the bids (Myerson
+    virtualization, or monopoly VCG reserves applied lazily or eagerly). The whole
+    curve is one vector integral with a row per alpha; under eager VCG each
+    competitor's reserve r_i is met at x = r_i/alpha, a breakpoint."""
+    competition = _linear_competition(competitor_models, cfg_kind)
+    alphas = [float(a) for a in alphas]
+    _check_alphas(alphas)
+    return list(zip(alphas, map(float, _linear_integral(d1, *competition, alphas))))
 
 
-def payoff_derivative_alpha(d1, competitor_models, at_alpha, kind="myerson", step=1e-4):
-    """Central finite difference of the linear-shading payoff in alpha."""
-    if not 0 < at_alpha <= 1:
-        raise InvalidParams("at_alpha must lie in (0, 1]")
-    lo, hi = at_alpha - step, at_alpha + step
-    (_, p_lo), (_, p_hi) = linear_payoff_curve(d1, competitor_models, kind, [lo, hi])
-    return (p_hi - p_lo) / (2 * step)
+def payoff_derivative_alpha(d1, competitor_models, at_alpha, kind="myerson"):
+    """Exact d/dalpha of the linear-shading payoff at at_alpha in (0, 1]: one
+    integral of the payoff integrand's alpha-derivative,
+    Myerson: psi [(x - alpha psi) f_Z(alpha psi) - F_Z(alpha psi)] f, and
+    VCG: [(x - alpha psi) x g(alpha x) - psi G(alpha x)] f with g = G'."""
+    competition = _linear_competition(competitor_models, kind)
+    _check_alphas([at_alpha])
+    return float(_linear_integral(d1, *competition, [at_alpha], slope=True)[0])
 
 
 # ----------------------------------------------------------------------

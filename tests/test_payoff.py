@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
-from shadecraft import dist, mech, payoff, shade
+from shadecraft import _quad, dist, mech, payoff, shade
 from shadecraft.errors import InvalidParams, OutOfSupport
+
+
+KINDS = ["myerson", "vcg-lazy", "vcg-eager"]
 
 
 def uniforms(k):
@@ -215,14 +219,58 @@ class TestLinearPayoffCurve:
         with pytest.raises(InvalidParams):
             payoff.linear_payoff_curve(dist.make_uniform(), uniforms(1), "first-price", [0.5])
 
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, np.nan])
+    def test_alpha_outside_unit_interval_raises(self, kind, alpha):
+        with pytest.raises(InvalidParams):
+            payoff.linear_payoff_curve(dist.make_uniform(), uniforms(2), kind, [0.5, alpha])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("xi", [-1.0, -0.5])
+    def test_one_integral_equals_one_alpha_calls(self, kind, xi):
+        m = dist.make_gp(0.0, 1.0, xi)
+        alphas = np.linspace(0.05, 1.0, 9)
+        curve = payoff.linear_payoff_curve(m, [m] * 2, kind, alphas)
+        for alpha, pay in curve:
+            (_, single), = payoff.linear_payoff_curve(m, [m] * 2, kind, [alpha])
+            assert pay == pytest.approx(single, abs=1e-13)
+
+    @pytest.mark.parametrize("xi", [-1.0, -0.5, -0.2])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_vcg_eager_matches_quad_with_reserve_kinks(self, xi, k):
+        # G(alpha x) kinks where alpha x meets the competitors' reserve r
+        m = dist.make_gp(0.0, 1.0, xi)
+        r, hi = m.monopoly_price(), m.grid_upper()
+        floor = float(m.cdf(r))
+        for alpha, pay in payoff.linear_payoff_curve(m, [m] * (k - 1), "vcg-eager",
+                                                     [0.3, 0.55, 0.8, 1.0]):
+            def f(x):
+                psi = max(float(m.virtual_value_clamped(x)), 0.0)
+                return (x - alpha * psi) * max(floor, float(m.cdf(alpha * x))) ** (k - 1) \
+                    * float(m.pdf(x))
+            kink = [r / alpha] if r < r / alpha < hi else None
+            ref, _ = integrate.quad(f, r, hi, points=kink, epsabs=1e-14, epsrel=1e-13,
+                                    limit=200)
+            assert pay == pytest.approx(ref, abs=1e-10)
+
+    def test_vcg_eager_curve_is_one_cheap_integral(self, monkeypatch):
+        calls = []
+        panels = _quad._panels
+        monkeypatch.setattr(_quad, "_panels", lambda *a: calls.append(1) or panels(*a))
+        u = dist.make_uniform()
+        payoff.linear_payoff_curve(u, uniforms(2), "vcg-eager", [0.35, 0.55, 0.75, 0.95])
+        assert 0 < len(calls) <= 4
+
 
 class TestDerivativeAlpha:
     @pytest.mark.parametrize("n,expected", [(2, -3 / 16), (3, -7 / 48),
-                                            (5, -(2 ** 5 - 1) / (5 * 2 ** 6))])
+                                            (4, -(2 ** 4 - 1) / (4 * 2 ** 5)),
+                                            (5, -(2 ** 5 - 1) / (5 * 2 ** 6)),
+                                            (6, -(2 ** 6 - 1) / (6 * 2 ** 7))])
     def test_uniform_closed_form(self, n, expected):
         u = dist.make_uniform()
         d = payoff.payoff_derivative_alpha(u, uniforms(n - 1), 1.0)
-        assert d == pytest.approx(expected, abs=1e-6)
+        assert d == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize("kind", ["vcg-lazy", "vcg-eager"])
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
@@ -230,6 +278,38 @@ class TestDerivativeAlpha:
         u = dist.make_uniform()
         d = payoff.payoff_derivative_alpha(u, uniforms(k - 1), 1.0, kind=kind)
         assert d < -1e-3
+
+    @pytest.mark.parametrize("kind", ["vcg-lazy", "vcg-eager"])
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_vcg_uniform_closed_form(self, kind, k):
+        # G(x) = x^(K-1) above r* = 1/2: the integral of
+        # [-(2x - 1) + (1 - x)(K - 1)] x^(K-1) over [1/2, 1] is -2^-(K+1)
+        u = dist.make_uniform()
+        d = payoff.payoff_derivative_alpha(u, uniforms(k - 1), 1.0, kind=kind)
+        assert d == pytest.approx(-2.0 ** -(k + 1), abs=1e-12)
+
+    # away from 0.5 and 1: there r/alpha meets an end of [r*, 1], the eager
+    # payoff's second derivative in alpha jumps, and a central difference is
+    # off by O(step)
+    @pytest.mark.parametrize("kind", ["vcg-lazy", "vcg-eager"])
+    @pytest.mark.parametrize("k", [2, 3, 5])
+    @pytest.mark.parametrize("alpha", [0.3, 0.7, 0.95])
+    def test_vcg_matches_central_difference(self, kind, k, alpha):
+        u = dist.make_uniform()
+        step = 1e-4
+        (_, lo), (_, hi) = payoff.linear_payoff_curve(u, uniforms(k - 1), kind,
+                                                      [alpha - step, alpha + step])
+        d = payoff.payoff_derivative_alpha(u, uniforms(k - 1), alpha, kind=kind)
+        assert d == pytest.approx((hi - lo) / (2 * step), abs=1e-7)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.5])
+    def test_alpha_outside_unit_interval_raises(self, alpha):
+        with pytest.raises(InvalidParams):
+            payoff.payoff_derivative_alpha(dist.make_uniform(), uniforms(2), alpha)
+
+    def test_no_step_argument(self):
+        with pytest.raises(TypeError):
+            payoff.payoff_derivative_alpha(dist.make_uniform(), uniforms(2), 1.0, step=1e-4)
 
 
 class TestDirectionalDerivative:
