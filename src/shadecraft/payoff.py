@@ -13,12 +13,19 @@ values from that point up, lives in `_myerson_payoff`. Virtualized bids come
 from `shade.virtualize`. Linear shading (bid alpha x) has its own integrand,
 `_linear_integral`: one row per alpha, for payoffs or their exact
 alpha-derivatives, under Myerson or VCG reserves.
+
+The boosted-second-price payoff and its (mu, sigma, xi) gradient share one
+integral, `_bsp_integral`, over s = -log u with u = 1 - F1(x1) and weight
+e^-s. It runs from the clearing point s0, where the GP virtualized bid psi
+is 0, to s = 700, and is split at s0 + 2^j (j = -1..9) and wherever psi meets
+a competitor's top virtualized bid (`CompetitionDistribution.tops`). Both
+kinds of split point are closed forms of s at psi = t (`_gp_s_at_virtual`).
 """
 
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cached_property, partial, reduce
 
 import numpy as np
 from scipy.optimize import brentq
@@ -62,24 +69,30 @@ class CompetitionDistribution:
             if self.models else 1.0
         self.atom0 = self._jump if atom0 is None else float(atom0)
 
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        gamma = np.ones_like(t)
-        tc = np.clip(t, 0.0, None)
-        for m in self.models:
-            gamma = gamma * m._cdf_of_virtual(tc)
-        return np.where(t > 0, gamma, np.where(t < 0, 0.0, self.atom0))
-
-    def pdf(self, t):
-        t = np.asarray(t, dtype=float)
-        cdfs = [m._cdf_of_virtual(t) for m in self.models]
-        pdfs = [m._pdf_of_virtual(t) for m in self.models]
-        return np.where(t <= 0, 0.0, _product_density(t, cdfs, pdfs))
+    @cached_property
+    def tops(self):
+        """Each competitor's finite top virtualized bid, where F_Z kinks and f_Z jumps."""
+        tops = (float(m.virtual_value_clamped(np.asarray(m.support[1]))) for m in self.models)
+        return tuple(t for t in tops if np.isfinite(t))
 
     def law(self, t, density=False):
-        """(cdf(t), pdf(t) if density else None), the pair a linear-shading
-        integrand reads (see _linear_competition)."""
-        return self.cdf(t), self.pdf(t) if density else None
+        """(cdf(t), pdf(t) if density else None) from one evaluation of each
+        competitor's virtualized-bid cdf, which the density's product rule reuses."""
+        t = np.asarray(t, dtype=float)
+        tc = np.clip(t, 0.0, None)
+        cdfs = [m._cdf_of_virtual(tc) for m in self.models]
+        gamma = reduce(np.multiply, cdfs, np.ones_like(t))
+        cdf = np.where(t > 0, gamma, np.where(t < 0, 0.0, self.atom0))
+        if not density:
+            return cdf, None
+        pdfs = [m._pdf_of_virtual(t) for m in self.models]
+        return cdf, np.where(t <= 0, 0.0, _product_density(t, cdfs, pdfs))
+
+    def cdf(self, t):
+        return self.law(t)[0]
+
+    def pdf(self, t):
+        return self.law(t, density=True)[1]
 
     def with_atom0(self, value):
         return CompetitionDistribution(self.models, atom0=value)
@@ -384,7 +397,8 @@ def directional_derivative(d1, beta: GridFunction, rho, z: CompetitionDistributi
 
     def integrand(x):
         hx = np.clip(h(x), 0.0, None)
-        return direction(x) * ((x - hx) * z.pdf(hx) - z.cdf(hx)) * d1.pdf(x)
+        cdf, pdf = z.law(hx, density=True)
+        return direction(x) * ((x - hx) * pdf - cdf) * d1.pdf(x)
 
     total = _quad.integrate(integrand, x0, hi)
 
@@ -403,42 +417,50 @@ def directional_derivative(d1, beta: GridFunction, rho, z: CompetitionDistributi
 # Boosted second price: payoff and parameter gradient over (mu, sigma, xi)
 # ----------------------------------------------------------------------
 
-def _gp_virtual_of_u(p: GPParams, u):
-    """psi_p(x_p) as a function of u = 1 - F1(x1); stable as xi -> 0-."""
-    u = np.asarray(u, dtype=float)
+_S_END = 700.0  # s = -log u runs up to u = e^-700 ~ 1e-304
+# s0 + 2^j, j = -1..9: the integrand decays like e^-s, so these spare each
+# integral the ~8 levels of halving [s0, _S_END] down to where its mass is
+_LADDER = 2.0 ** np.arange(-1, 10)
+
+
+def _gp_virtual_of_s(p: GPParams, s):
+    """psi_p(x_p) at s = -log u, u = 1 - F1(x1); stable as xi -> 0-."""
+    s = np.asarray(s, dtype=float)
     if p.xi == 0:
-        return p.mu - p.sigma * np.log(u) - p.sigma
-    w = -p.xi * np.log(np.clip(u, 1e-300, None))
+        return p.mu + p.sigma * s - p.sigma
+    w = p.xi * s
     return p.sigma * (np.expm1(w) / p.xi - np.exp(w)) + p.mu
 
 
-def _gp_virtual_u_threshold(p: GPParams):
-    """u value where psi_p(x_p) = 0; None if psi never reaches 0 from above."""
+def _gp_s_at_virtual(p: GPParams, t):
+    """The s where psi_p(x_p) = t, inf if psi stays below t: log(v)/xi with
+    v = (xi (t - mu) + sigma) / (sigma (1 - xi)), or 1 + (t - mu)/sigma at
+    xi = 0. log v is taken as a difference of log1p terms, accurate as xi -> 0-."""
     if p.xi == 0:
-        return float(np.exp(p.mu / p.sigma - 1.0))
-    if 1.0 - p.mu * p.xi / p.sigma <= 0:
-        return None
-    expo = (np.log1p(-p.xi * p.mu / p.sigma) - np.log1p(-p.xi)) / (-p.xi)
-    return float(np.exp(expo))
+        return 1.0 + (t - p.mu) / p.sigma
+    a = p.xi * (t - p.mu) / p.sigma
+    if a <= -1.0:
+        return np.inf
+    return float((np.log1p(a) - np.log1p(-p.xi)) / p.xi)
 
 
 def _one_minus_exp_with_slope(w):
-    """1 - e^w (1 - w), evaluated stably: ~ w^2/2 for small w."""
+    """1 - e^w (1 - w) for w <= 0: its Taylor series (~ w^2/2) for |w| < 1e-3,
+    else -expm1(w) + w e^w, whose terms cancel by at most a factor ~2/|w|."""
     w = np.asarray(w, dtype=float)
     small = np.abs(w) < 1e-3
     ws = np.where(small, w, 0.0)
     series = ws ** 2 / 2 + ws ** 3 / 3 + ws ** 4 / 8 + ws ** 5 / 30 + ws ** 6 / 144
-    direct = 1.0 - np.exp(np.where(small, 0.0, w)) * (1.0 - np.where(small, 0.0, w))
-    return np.where(small, series, direct)
+    return np.where(small, series, -np.expm1(w) + w * np.exp(w))
 
 
-def _grad_psi_of_u(p: GPParams, u):
-    """Rows [d/dmu, d/dsigma, d/dxi] of psi_p(x_p) at u = 1 - F1(x1)."""
+def _grad_psi_of_s(p: GPParams, s):
+    """Rows [d/dmu, d/dsigma, d/dxi] of psi_p(x_p) at s = -log(1 - F1(x1))."""
     if p.xi == 0:
         raise InvalidParams("gradient requires xi < 0")
-    u = np.asarray(u, dtype=float)
-    w = -p.xi * np.log(np.clip(u, 1e-300, None))
-    g_mu = np.ones_like(u)
+    s = np.asarray(s, dtype=float)
+    w = p.xi * s
+    g_mu = np.ones_like(s)
     g_sigma = np.expm1(w) / p.xi - np.exp(w)
     # sigma/xi^2 [1 - e^w + (1 - xi) w e^w] = sigma/xi^2 [(1 - e^w(1-w)) - xi w e^w]
     g_xi = (p.sigma / p.xi ** 2) * (_one_minus_exp_with_slope(w)
@@ -446,19 +468,28 @@ def _grad_psi_of_u(p: GPParams, u):
     return np.stack([g_mu, g_sigma, g_xi])
 
 
+def _bsp_integral(d1, p: GPParams, z: CompetitionDistribution, row):
+    """(int row(s, psi, x1) e^-s ds over [s0, _S_END], s0): the clearing region
+    {psi >= 0} in s = -log u, u = 1 - F1(x1), which starts at s0 = max(s(psi = 0), 0).
+
+    The range is split at s0 + 2^j, j = -1..9, and where psi meets each
+    competitor's top virtualized bid, where F_Z kinks and f_Z jumps. The
+    integral is 0 when psi never reaches 0 before _S_END."""
+    s0 = max(_gp_s_at_virtual(p, 0.0), 0.0)
+
+    def integrand(s):
+        psi = np.clip(_gp_virtual_of_s(p, s), 0.0, None)
+        u = np.exp(-s)
+        return row(s, psi, d1.quantile(1.0 - u)) * u
+
+    breaks = [_gp_s_at_virtual(p, t) for t in z.tops] + list(s0 + _LADDER)
+    return _quad.integrate(integrand, s0, _S_END, breakpoints=breaks), s0
+
+
 def bsp_payoff(d1, p: GPParams, z: CompetitionDistribution) -> float:
-    """Payoff of the GP-reparametrized shading, integrated over u = 1 - F1(x)."""
-    u1 = _gp_virtual_u_threshold(p)
-    if u1 is not None and u1 <= 0:
-        return 0.0
-    cap = 1.0 if u1 is None else min(u1, 1.0)
-
-    def integrand(u):
-        psi = np.clip(_gp_virtual_of_u(p, u), 0.0, None)
-        x1 = d1.quantile(1.0 - u)
-        return (x1 - psi) * z.cdf(psi)
-
-    return _quad.integrate(integrand, 0.0, cap)
+    """Payoff of the GP-reparametrized shading: the integral of
+    (x1 - psi) F_Z(psi) over u = 1 - F1(x1), taken in s = -log u (see _bsp_integral)."""
+    return _bsp_integral(d1, p, z, lambda s, psi, x1: (x1 - psi) * z.cdf(psi))[0]
 
 
 def bsp_payoff_gradient(d1, p: GPParams, z: CompetitionDistribution,
@@ -466,29 +497,26 @@ def bsp_payoff_gradient(d1, p: GPParams, z: CompetitionDistribution,
     """Analytic gradient of bsp_payoff over (mu, sigma, xi).
 
     The expectation term integrates grad psi times the stationarity bracket
-    over the clearing region; the point-mass term moves the clearing boundary
-    and is weighted by atom0 and the boundary Jacobian. Toggling
-    include_point_mass exposes the first-order variant that neglects it.
+    (x1 - psi) f_Z(psi) - F_Z(psi) over the clearing region, in s = -log u and
+    split at the same points as bsp_payoff; the point-mass term moves the
+    clearing boundary s0 and is weighted by atom0 and the boundary Jacobian.
+    Toggling include_point_mass exposes the first-order variant that neglects it.
     """
     if p.xi >= 0:
         raise InvalidParams("gradient requires xi < 0")
-    u1 = _gp_virtual_u_threshold(p)
-    if u1 is not None and u1 <= 0:
-        return np.zeros(3)
-    cap = 1.0 if u1 is None else min(u1, 1.0)
 
-    def integrand(u):
-        psi = np.clip(_gp_virtual_of_u(p, u), 0.0, None)
-        x1 = d1.quantile(1.0 - u)
-        return _grad_psi_of_u(p, u) * ((x1 - psi) * z.pdf(psi) - z.cdf(psi))
+    def row(s, psi, x1):
+        cdf, pdf = z.law(psi, density=True)
+        return _grad_psi_of_s(p, s) * ((x1 - psi) * pdf - cdf)
 
-    out = _quad.integrate(integrand, 0.0, cap)
-
-    if include_point_mass and u1 is not None and u1 < 1.0:
+    total, s0 = _bsp_integral(d1, p, z, row)
+    out = np.zeros(3) + total
+    if include_point_mass and 0.0 < s0 < _S_END:
         # boundary term: grad psi at the clearing point, times atom0 x1 f1(x1),
         # divided by the clearing boundary's slope d psi/dx = (1-xi) sigma u^{-xi-1} f1;
         # the density cancels
+        u1 = np.exp(-s0)
         x1c = float(d1.quantile(1.0 - u1))
-        g_at = _grad_psi_of_u(p, np.asarray([u1]))[:, 0]
+        g_at = _grad_psi_of_s(p, np.asarray([s0]))[:, 0]
         out += g_at * z.atom0 * x1c * u1 ** (1.0 + p.xi) / ((1.0 - p.xi) * p.sigma)
     return out

@@ -1,8 +1,17 @@
+import functools
+import warnings
+from decimal import Decimal, localcontext
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.optimize import brentq
+from scipy.stats import qmc
 
-from shadecraft import _quad, dist, mech, payoff, shade
+from shadecraft import _quad, dist, mech, opt, payoff, shade
 from shadecraft.errors import InvalidParams, OutOfSupport
 
 
@@ -52,6 +61,50 @@ class TestCompetitionDistribution:
         z0 = z_two_uniform.with_atom0(0.0)
         assert z0.cdf(0.0) == 0.0
         assert z0.cdf(0.3) == z_two_uniform.cdf(0.3)
+
+    def test_tops_are_the_finite_top_virtualized_bids(self):
+        z = payoff.competition_distribution(
+            [dist.make_uniform(), dist.make_gp(0.0, 1.0, -0.5), dist.make_gp(0.0, 1.0, 0.0)])
+        assert z.tops == (1.0, 2.0)
+
+
+def _square_law_grid():
+    # F(x) = x^2 on [0, 1], tabulated: psi(x) = x - (1 - x^2)/(2x) is increasing
+    xs = np.linspace(0.0, 1.0, 201)
+    return dist.make_grid(xs, xs ** 2, 2 * xs)
+
+
+_COMPETITIONS = (
+    payoff.competition_distribution([dist.make_uniform(), dist.make_gp(0.1, 0.7, -0.4)]),
+    payoff.competition_distribution([_square_law_grid(), dist.make_uniform()]),
+    payoff.competition_distribution([_square_law_grid()] * 3),
+)
+
+
+def _reference_law(z, t):
+    """F_Z and f_Z, each from its own evaluation of every competitor's cdf."""
+    gamma = np.ones_like(t)
+    for m in z.models:
+        gamma = gamma * m._cdf_of_virtual(np.clip(t, 0.0, None))
+    cdf = np.where(t > 0, gamma, np.where(t < 0, 0.0, z.atom0))
+    cdfs = [m._cdf_of_virtual(t) for m in z.models]
+    pdfs = [m._pdf_of_virtual(t) for m in z.models]
+    return cdf, np.where(t <= 0, 0.0, payoff._product_density(t, cdfs, pdfs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_COMPETITIONS),
+       st.lists(st.one_of(st.floats(-2.0, -1e-9), st.just(0.0), st.floats(1e-9, 3.0),
+                          st.floats(3.0, 10.0)), min_size=1, max_size=40))
+def test_law_is_byte_equal_to_cdf_and_pdf(z, ts):
+    # t < 0, t = 0, inside the virtualized support and above every top
+    t = np.array(ts)
+    cdf, pdf = z.law(t, density=True)
+    for got, want in zip((cdf, pdf), (z.cdf(t), z.pdf(t))):
+        assert got.tobytes() == want.tobytes()
+    for got, want in zip((cdf, pdf), _reference_law(z, t)):
+        assert got.tobytes() == want.tobytes()
+    assert z.law(t)[1] is None
 
 
 class TestGPCompetitionRatio:
@@ -359,15 +412,15 @@ class TestEquilibriumProperties:
 class TestBSPGradient:
     def test_mu_component_is_one(self):
         p = dist.GPParams(0.0, 0.4, -0.8)
-        us = np.linspace(0.05, 0.95, 20)
-        grads = payoff._grad_psi_of_u(p, us)
+        ss = -np.log(np.linspace(0.05, 0.95, 20))
+        grads = payoff._grad_psi_of_s(p, ss)
         np.testing.assert_allclose(grads[0], 1.0)
 
     def test_sigma_component_is_psi_over_sigma(self):
         p = dist.GPParams(0.0, 0.4, -0.8)
-        us = np.linspace(0.05, 0.95, 20)
-        grads = payoff._grad_psi_of_u(p, us)
-        psi = payoff._gp_virtual_of_u(p, us)
+        ss = -np.log(np.linspace(0.05, 0.95, 20))
+        grads = payoff._grad_psi_of_s(p, ss)
+        psi = payoff._gp_virtual_of_s(p, ss)
         np.testing.assert_allclose(grads[1], psi / p.sigma, atol=1e-12)
 
     def test_gradient_matches_finite_differences(self, z_two_uniform):
@@ -397,6 +450,171 @@ class TestBSPGradient:
         s = shade.gp_reparam_shading(u, p)
         assert payoff.bsp_payoff(u, p, z_two_uniform) == pytest.approx(
             payoff.payoff_quadrature(u, s, z_two_uniform).mean, abs=1e-9)
+
+
+BSP_BOX = ((0.0, 0.5), (0.05, 1.5), (-3.0, -1e-6))
+
+
+def _psi_of_u(p, u):
+    """psi_p(x_p) = (1 - xi)(x_p - r*) at the GP quantile x_p of 1 - u."""
+    return p.mu - p.sigma + p.sigma * (1 - p.xi) * np.expm1(-p.xi * np.log(u)) / p.xi
+
+
+def _grad_psi_of_u(p, u):
+    # the xi row, d/dxi of expm1(a)/xi with a = -xi log u, loses about
+    # log10(1/|a|) digits to cancellation; it is taken in extended precision
+    # where the platform has it
+    lg, xi = np.log(np.longdouble(u)), np.longdouble(p.xi)
+    a = -xi * lg
+    e = np.expm1(a) / xi
+    de = (-lg * np.exp(a) * xi - np.expm1(a)) / xi ** 2
+    return np.array([1.0, float((1 - xi) * e - 1), float(p.sigma * ((1 - xi) * de - e))])
+
+
+def _bsp_oracle(d1, p, z):
+    """[bsp_payoff, its gradient] by scipy quad over u = 1 - F1(x1) in (0, u1],
+    psi(u1) = 0, with the points where psi meets a top of z as breakpoints."""
+    def psi(u):
+        return float(_psi_of_u(p, u))
+
+    if psi(1e-300) <= 0:
+        return np.zeros(4)
+    u1 = 1.0 if psi(1.0) >= 0 else brentq(psi, 1e-300, 1.0, xtol=1e-300, rtol=1e-15)
+    kinks = [brentq(lambda u: psi(u) - t, 1e-300, u1, xtol=1e-300, rtol=1e-15)
+             for t in z.tops if psi(1e-300) > t > psi(u1)]
+    # psi ~ -sigma log u near u = 0; decades keep QUADPACK's extrapolation
+    # out of roundoff there
+    points = sorted(kinks + [u1 * 10.0 ** -k for k in range(1, 16)])
+
+    @functools.lru_cache(maxsize=None)
+    def rows(u):
+        v = max(psi(u), 0.0)
+        x1 = float(d1.quantile(1 - u))
+        cdf, pdf = (float(c) for c in z.law(np.array(v), density=True))
+        return np.concatenate([[(x1 - v) * cdf], _grad_psi_of_u(p, u) * ((x1 - v) * pdf - cdf)])
+
+    with warnings.catch_warnings():
+        # a row that cancels to 0 warns of roundoff
+        warnings.simplefilter("ignore", integrate.IntegrationWarning)
+        out = np.array([integrate.quad(lambda u: rows(u)[i], 0.0, u1, points=points,
+                                       epsabs=1e-15, epsrel=1e-13, limit=500)[0]
+                        for i in range(4)])
+    if u1 < 1:
+        # the clearing boundary moves: atom0 x1 / (d psi/du) at u1
+        x1 = float(d1.quantile(1 - u1))
+        out[1:] += _grad_psi_of_u(p, u1) * z.atom0 * x1 * u1 ** (1 + p.xi) \
+            / ((1 - p.xi) * p.sigma)
+    return out
+
+
+@st.composite
+def bsp_params(draw):
+    """GPParams over BSP_BOX; a third of the draws take xi log-uniform in [-3, -1e-6]."""
+    (mu_lo, mu_hi), (sg_lo, sg_hi), (xi_lo, xi_hi) = BSP_BOX
+    if draw(st.integers(0, 2)) == 0:
+        xi = -10.0 ** draw(st.floats(np.log10(-xi_hi), np.log10(-xi_lo)))
+    else:
+        xi = draw(st.floats(xi_lo, xi_hi))
+    return dist.GPParams(draw(st.floats(mu_lo, mu_hi)), draw(st.floats(sg_lo, sg_hi)), xi)
+
+
+class _PanelCounter:
+    """Panels per _quad.integrate call, counted through _quad._panels."""
+
+    def __init__(self):
+        self.panels = []
+        self._panels = _quad._panels
+
+    def __call__(self, f, lo, hi, nodes, weights):
+        self.panels[-1] += lo.size
+        return self._panels(f, lo, hi, nodes, weights)
+
+    def run(self, fn, *args):
+        self.panels.append(0)
+        with mock.patch.object(_quad, "_panels", self):
+            return fn(*args)
+
+
+class TestBSPInLogU:
+    @settings(max_examples=50, deadline=None)
+    @given(bsp_params())
+    def test_matches_quad_in_u(self, p):
+        u = dist.make_uniform()
+        z = payoff.competition_distribution(uniforms(2))
+        counter = _PanelCounter()
+        got = np.concatenate([[counter.run(payoff.bsp_payoff, u, p, z)],
+                              counter.run(payoff.bsp_payoff_gradient, u, p, z)])
+        ref = _bsp_oracle(u, p, z)
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert max(counter.panels) <= 1000
+
+    def test_sobol_box_is_two_integrand_calls(self, monkeypatch):
+        calls = []
+        panels = _quad._panels
+        monkeypatch.setattr(_quad, "_panels", lambda *a: calls.append(1) or panels(*a))
+        u = dist.make_uniform()
+        z = payoff.competition_distribution(uniforms(2))
+        lo, hi = np.array(BSP_BOX).T
+        for x in qmc.scale(qmc.Sobol(3, scramble=True, seed=0).random(16), lo, hi):
+            p = dist.GPParams(*map(float, x))
+            calls.clear()
+            payoff.bsp_payoff(u, p, z)
+            payoff.bsp_payoff_gradient(u, p, z)
+            assert len(calls) == 4
+
+    def test_worst_gradient_matches_central_differences(self):
+        u = dist.make_uniform()
+        z = payoff.competition_distribution(uniforms(2))
+        p = np.array([0.0872, 0.0888, -0.0026])
+        analytic = payoff.bsp_payoff_gradient(u, dist.GPParams(*p), z)
+        step = 1e-5
+        fd = [(payoff.bsp_payoff(u, dist.GPParams(*(p + step * e)), z)
+               - payoff.bsp_payoff(u, dist.GPParams(*(p - step * e)), z)) / (2 * step)
+              for e in np.eye(3)]
+        np.testing.assert_allclose(analytic, fd, rtol=0, atol=2e-6)
+
+    def test_maximize_from_rounded_argmax(self):
+        u = dist.make_uniform()
+        z = payoff.competition_distribution(uniforms(2))
+        res = opt.maximize_bsp(u, z, dist.GPParams(0.0859, 0.0880, -0.0551), BSP_BOX,
+                               restarts=0)
+        assert res.value == pytest.approx(0.130718, abs=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bsp_params(), st.floats(-2.0, 5.0))
+    def test_s_at_virtual_inverts_psi(self, p, t):
+        s = payoff._gp_s_at_virtual(p, t)
+        top = p.mu - p.sigma / p.xi
+        if t >= top:
+            assert s == np.inf
+        else:
+            assert payoff._gp_virtual_of_s(p, s) == pytest.approx(t, abs=1e-12 * max(1.0, top))
+
+    def test_s_at_virtual_exponential(self):
+        p = dist.GPParams(0.2, 0.5, 0.0)
+        s = payoff._gp_s_at_virtual(p, 0.7)
+        assert s == pytest.approx(2.0)
+        assert payoff._gp_virtual_of_s(p, s) == pytest.approx(0.7, abs=1e-15)
+
+    def test_clearing_region_out_of_reach(self):
+        # psi stays below its top mu - sigma/xi = -0.1 < 0: the bidder never clears
+        u = dist.make_uniform()
+        z = payoff.competition_distribution(uniforms(2))
+        p = dist.GPParams(-0.6, 0.5, -1.0)
+        assert payoff.bsp_payoff(u, p, z) == 0.0
+        assert not np.any(payoff.bsp_payoff_gradient(u, p, z))
+
+
+def test_one_minus_exp_with_slope_to_fifty_digits():
+    ws = -np.concatenate([np.logspace(-8, np.log10(740.0), 600),
+                          np.linspace(9e-4, 1.2e-3, 61), [1e-3, np.nextafter(1e-3, 1.0)]])
+    got = payoff._one_minus_exp_with_slope(ws)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        for w, g in zip(ws, got):
+            d = Decimal(float(w))
+            ref = 1 - d.exp() * (1 - d)
+            assert abs((Decimal(float(g)) - ref) / ref) <= Decimal("1e-12"), w
 
 
 class TestSerialization:
