@@ -190,6 +190,10 @@ class DistributionModel:
     def quantile(self, q):
         raise NotImplementedError
 
+    def isf(self, u):
+        """Inverse survival function, the x with 1 - F(x) = u."""
+        return self.quantile(1.0 - np.asarray(u, dtype=float))
+
     def mean(self):
         raise NotImplementedError
 
@@ -303,11 +307,14 @@ class GPDistribution(DistributionModel):
         return out
 
     def quantile(self, q):
+        return self.isf(1.0 - np.asarray(q, dtype=float))
+
+    def isf(self, u):
+        """Closed form in u, so that x stays finite for u below one ulp of 1."""
         p = self.params
-        q = np.asarray(q, dtype=float)
-        if np.any(q < 0) or np.any(q > 1):
-            raise InvalidParams("quantile argument must lie in [0, 1]")
-        u = 1.0 - q
+        u = np.asarray(u, dtype=float)
+        if np.any(u < 0) or np.any(u > 1):
+            raise InvalidParams("probability argument must lie in [0, 1]")
         if p.xi == 0:
             with np.errstate(divide="ignore"):
                 return p.mu - p.sigma * np.log(u)
@@ -587,11 +594,30 @@ def invert_virtual_from_distribution(model_of_w: DistributionModel, t) -> float:
     return num / (p - 1.0)
 
 
+def _field(cfg: dict, name, cast=float):
+    """cast(cfg[name]) for the config parsers; a missing field, or a value
+    cast refuses, raises InvalidParams naming the field."""
+    if name not in cfg:
+        raise InvalidParams(f"missing field {name!r}")
+    try:
+        return cast(cfg[name])
+    except (TypeError, ValueError):
+        raise InvalidParams(f"invalid value for field {name!r}: {cfg[name]!r}") from None
+
+
+def _gp_params(cfg: dict) -> GPParams:
+    return GPParams(*(_field(cfg, name) for name in ("mu", "sigma", "xi")))
+
+
+_array = functools.partial(np.asarray, dtype=float)
+
+
 def model_from_config(cfg: dict) -> DistributionModel:
     """Parse {"kind": "gp", ...} or {"kind": "grid", ...} JSON config."""
     kind = cfg.get("kind")
     if kind == "gp":
-        return make_gp(cfg["mu"], cfg["sigma"], cfg["xi"])
+        return make_gp(_gp_params(cfg))
     if kind == "grid":
-        return make_grid(cfg["knots"], cfg["cdf"], cfg.get("pdf"))
+        return make_grid(_field(cfg, "knots", _array), _field(cfg, "cdf", _array),
+                         _field(cfg, "pdf", _array) if "pdf" in cfg else None)
     raise InvalidParams(f"unknown distribution kind: {kind!r}")

@@ -325,11 +325,6 @@ def _linear_integral(d1, law, kinks, virtual, alphas, slope=False):
                                               d1.grid_upper(), breakpoints=breaks)
 
 
-def _myerson_linear_payoff(d1, z, alpha):
-    # alpha may exceed 1 here, which LinearShading rejects
-    return float(_linear_integral(d1, z.law, (), True, [alpha])[0])
-
-
 def _check_alphas(alphas):
     for a in alphas:
         if not 0 < a <= 1:
@@ -480,7 +475,7 @@ def _bsp_integral(d1, p: GPParams, z: CompetitionDistribution, row):
     def integrand(s):
         psi = np.clip(_gp_virtual_of_s(p, s), 0.0, None)
         u = np.exp(-s)
-        return row(s, psi, d1.quantile(1.0 - u)) * u
+        return row(s, psi, d1.isf(u)) * u
 
     breaks = [_gp_s_at_virtual(p, t) for t in z.tops] + list(s0 + _LADDER)
     return _quad.integrate(integrand, s0, _S_END, breakpoints=breaks), s0
@@ -516,7 +511,7 @@ def bsp_payoff_gradient(d1, p: GPParams, z: CompetitionDistribution,
         # divided by the clearing boundary's slope d psi/dx = (1-xi) sigma u^{-xi-1} f1;
         # the density cancels
         u1 = np.exp(-s0)
-        x1c = float(d1.quantile(1.0 - u1))
+        x1c = float(d1.isf(u1))
         g_at = _grad_psi_of_s(p, np.asarray([s0]))[:, 0]
         out += g_at * z.atom0 * x1c * u1 ** (1.0 + p.xi) / ((1.0 - p.xi) * p.sigma)
     return out

@@ -10,11 +10,13 @@ Strategies are tabulated on the base model's `default_grid`, with their
 kinks as extra knots.
 """
 
+import operator
+
 import numpy as np
 
 from . import _quad
 from .dist import (DistributionModel, GPDistribution, GPParams, GridDistribution,
-                   GridFunction, make_gp, transform_distribution)
+                   GridFunction, _field, _gp_params, make_gp, transform_distribution)
 from .errors import InvalidParams, NonMonotone, NonRegular
 
 DEFAULT_EPS = 1e-6  # the "0+" convention for one_vs_uniform_shading
@@ -276,11 +278,12 @@ def strategy_from_config(cfg: dict, base: DistributionModel) -> ShadingStrategy:
     if kind == "truthful":
         return truthful(base)
     if kind == "linear":
-        return linear_shading(base, cfg["alpha"])
+        return linear_shading(base, _field(cfg, "alpha"))
     if kind == "equilibrium":
-        return equilibrium_shading(base, int(cfg["k"]))
+        return equilibrium_shading(base, _field(cfg, "k", operator.index))
     if kind == "one-vs-uniform":
-        return one_vs_uniform_shading(base, int(cfg["k"]), float(cfg.get("eps", DEFAULT_EPS)))
+        eps = _field(cfg, "eps") if "eps" in cfg else DEFAULT_EPS
+        return one_vs_uniform_shading(base, _field(cfg, "k", operator.index), eps)
     if kind == "gp-reparam":
-        return gp_reparam_shading(base, GPParams(cfg["mu"], cfg["sigma"], cfg["xi"]))
+        return gp_reparam_shading(base, _gp_params(cfg))
     raise InvalidParams(f"unknown strategy kind: {kind!r}")

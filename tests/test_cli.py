@@ -229,3 +229,92 @@ class TestSimulate:
         est = report["estimate"]
         for mean in est["per_bidder"]:
             assert mean == pytest.approx(1 / 12, abs=3 * 0.0006)
+
+
+GP_NO_SIGMA = {"kind": "gp", "mu": 0}
+UNIFORM = {"kind": "gp", "mu": 0, "sigma": 1, "xi": -1}
+BIDDERS = [{"value": UNIFORM}] * 3
+
+# (command, config without "out"): each is refused with exit 2
+REFUSED = {
+    "gp-value-missing-sigma": ("payoff-curve", {
+        "mechanism": "myerson", "k_values": [2], "value": GP_NO_SIGMA}),
+    "gp-bidder-missing-sigma": ("simulate", {
+        "mechanism": {"kind": "myerson"}, "bidders": [{"value": GP_NO_SIGMA}] * 2,
+        "seed": 1}),
+    "linear-without-alpha": ("simulate", {
+        "mechanism": {"kind": "myerson"}, "seed": 1,
+        "bidders": [{"value": UNIFORM, "strategy": {"kind": "linear"}}] + BIDDERS[1:]}),
+    "bsp-bounds-not-numbers": ("bsp-opt", {
+        "value": UNIFORM, "bounds": [["a", 1], [0.01, 2.0], [-4.0, -1e-6]]}),
+    "bsp-bounds-not-pairs": ("bsp-opt", {
+        "value": UNIFORM, "bounds": [[0, 1, 2], [0.01, 2.0], [-4.0, -1e-6]]}),
+    "negative-points": ("one-strategic-demo", {"k": 4, "points": -3}),
+    "alpha-bounds-reversed": ("one-strategic-demo", {"k": 4, "alpha_bounds": [1.0, 0.5]}),
+    "alpha-bounds-above-1": ("one-strategic-demo", {"k": 4, "alpha_bounds": [0.01, 1.3]}),
+    "one-strategic-k1": ("one-strategic-demo", {"k": 1}),
+    "alphas-not-numbers": ("payoff-curve", {
+        "mechanism": "myerson", "k_values": [2], "alphas": [0.5, "x"]}),
+    "alphas-negative-count": ("payoff-curve", {
+        "mechanism": "myerson", "k_values": [2],
+        "alphas": {"start": 0.1, "stop": 1.0, "count": -3}}),
+    "k-values-below-2": ("payoff-curve", {"mechanism": "myerson", "k_values": [1, 2]}),
+    "k-values-empty": ("payoff-curve", {"mechanism": "dutch", "k_values": []}),
+    "vcg-reserves-length": ("simulate", {
+        "mechanism": {"kind": "vcg-lazy", "reserves": [0.5]}, "bidders": BIDDERS,
+        "seed": 1}),
+    "vcg-reserves-not-numbers": ("simulate", {
+        "mechanism": {"kind": "vcg-eager", "reserves": "high"}, "bidders": BIDDERS,
+        "seed": 1}),
+    "rounds-not-integer": ("simulate", {
+        "mechanism": {"kind": "myerson"}, "bidders": BIDDERS, "rounds": "many",
+        "seed": 1}),
+    "rounds-zero": ("simulate", {
+        "mechanism": {"kind": "myerson"}, "bidders": BIDDERS, "rounds": 0, "seed": 1}),
+    "k-not-integer": ("equilibrium-demo", {"k": 3.0, "seed": 1}),
+    "k-1-equilibrium": ("equilibrium-demo", {"k": 1, "seed": 1}),
+    "equilibrium-non-monotone": ("equilibrium-demo", {
+        "k": 3, "seed": 1, "value": {"kind": "gp", "mu": 0, "sigma": 1, "xi": -0.2}}),
+    "point-mass-not-bool": ("bsp-opt", {"value": UNIFORM, "point_mass": 1}),
+}
+
+
+class TestRefusedConfigs:
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_exits_2_without_output(self, tmp_path, capsys, case):
+        command, payload = REFUSED[case]
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "c.json", {**payload, "out": str(out)})
+        assert cli.main([command, cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ")
+        assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    def test_field_path_is_named(self, tmp_path, capsys):
+        command, payload = REFUSED["linear-without-alpha"]
+        cfg = write_config(tmp_path, "c.json", {**payload, "out": str(tmp_path / "o")})
+        assert cli.main([command, cfg]) == 2
+        assert "bidders[0].strategy: missing field 'alpha'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag", [
+        ("payoff-curve", "--seed"), ("one-strategic-demo", "--workers"),
+        ("bsp-opt", "--rounds"), ("payoff-curve", "--rounds")])
+    def test_flag_the_command_does_not_read_is_refused(self, tmp_path, command, flag):
+        cfg = write_config(tmp_path, "c.json", {})
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, cfg, flag, "3"])
+        assert exc.value.code == 2
+
+    def test_equilibrium_demo_flags_and_workers(self, tmp_path):
+        # 70,000 rounds are two Monte Carlo chunks, so two workers share them
+        outputs = []
+        for w in ("1", "2"):
+            out = tmp_path / f"eq-{w}.json"
+            cfg = write_config(tmp_path, "c.json", {"k": 2, "seed": 1, "out": "unused"})
+            assert cli.main(["equilibrium-demo", cfg, "--out", str(out), "--rounds",
+                             "70000", "--seed", "4", "--workers", w]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        report = json.loads(outputs[0])
+        assert report["rounds"] == 70000 and report["metadata"]["seed"] == 4

@@ -52,6 +52,20 @@ class TestMakeGP:
         xs = np.linspace(0.6, 3.2, 17)
         np.testing.assert_allclose(m.quantile(m.cdf(xs)), xs, atol=1e-10)
 
+    @pytest.mark.parametrize("xi", [-1.0, -0.3, 0.0])
+    def test_isf_is_quantile_of_complement(self, xi):
+        m = dist.make_gp(0.2, 0.7, xi)
+        qs = np.linspace(0.0, 1.0, 101)
+        np.testing.assert_array_equal(m.isf(1.0 - qs), m.quantile(qs))
+        with pytest.raises(InvalidParams):
+            m.isf(1.5)
+
+    def test_isf_finite_where_one_minus_u_rounds_to_one(self):
+        e = dist.make_gp(0.0, 1.0, 0.0)
+        u = np.array([1e-20, 1e-300])
+        np.testing.assert_allclose(e.isf(u), -np.log(u), rtol=1e-15)
+        assert np.all(np.isinf(e.quantile(1.0 - u)))
+
 
 class TestVirtualValue:
     def test_uniform_closed_form(self):
@@ -231,6 +245,8 @@ class TestGridModel:
         b = dist.transform_distribution(u, beta)
         xs = np.linspace(0.51, 0.99, 25)
         np.testing.assert_allclose(b.quantile(b.cdf(xs)), xs, atol=1e-9)
+        us = np.linspace(0.0, 1.0, 33)
+        np.testing.assert_array_equal(b.isf(us), b.quantile(1.0 - us))
 
     def test_grid_sampling_ks(self):
         u = dist.make_uniform()
@@ -291,3 +307,16 @@ class TestConfig:
     def test_unknown_kind(self):
         with pytest.raises(InvalidParams):
             dist.model_from_config({"kind": "weird"})
+
+    @pytest.mark.parametrize("cfg,field", [
+        ({"kind": "gp", "mu": 0}, "sigma"),
+        ({"kind": "gp", "mu": 0, "sigma": "wide", "xi": -1}, "sigma"),
+        ({"kind": "gp", "mu": None, "sigma": 1, "xi": -1}, "mu"),
+        ({"kind": "grid", "cdf": [0, 0.5, 0.9, 1]}, "knots"),
+        ({"kind": "grid", "knots": [0, 1, 2, 3], "cdf": [0, "a", 0.9, 1]}, "cdf"),
+        ({"kind": "grid", "knots": [0, 1, 2, 3], "cdf": [0, 0.5, 0.9, 1],
+          "pdf": [[1], [1, 2]]}, "pdf"),
+    ])
+    def test_bad_field_is_named(self, cfg, field):
+        with pytest.raises(InvalidParams, match=f"field '{field}'"):
+            dist.model_from_config(cfg)

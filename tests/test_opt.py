@@ -23,9 +23,10 @@ class TestMaximizeScalar:
 
     def test_k2_payoff_maximized_at_lower_bound(self):
         u = dist.make_uniform()
-        z = payoff.competition_distribution(uniforms(1))
-        res = opt.maximize_scalar(lambda a: payoff._myerson_linear_payoff(u, z, a),
-                                  0.01, 1.0, tol=1e-6)
+        comps = uniforms(1)
+        res = opt.maximize_scalar(
+            lambda a: payoff.linear_payoff_curve(u, comps, "myerson", [a])[0][1],
+            0.01, 1.0, tol=1e-6)
         assert res.argmax == pytest.approx(0.01, abs=1e-6)
 
     def test_k6_matches_brute_force_grid(self):
@@ -41,9 +42,10 @@ class TestMaximizeScalar:
         brute_val = vals.max()
 
         u = dist.make_uniform()
-        z = payoff.competition_distribution(uniforms(k - 1))
-        res = opt.maximize_scalar(lambda a: payoff._myerson_linear_payoff(u, z, a),
-                                  0.01, 1.0, tol=1e-8)
+        comps = uniforms(k - 1)
+        res = opt.maximize_scalar(
+            lambda a: payoff.linear_payoff_curve(u, comps, "myerson", [a])[0][1],
+            0.01, 1.0, tol=1e-8)
         assert res.argmax == pytest.approx(brute_best, abs=1e-4)
         assert res.value == pytest.approx(brute_val, abs=1e-4)
 

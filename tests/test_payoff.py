@@ -489,7 +489,7 @@ def _bsp_oracle(d1, p, z):
     @functools.lru_cache(maxsize=None)
     def rows(u):
         v = max(psi(u), 0.0)
-        x1 = float(d1.quantile(1 - u))
+        x1 = float(d1.isf(u))
         cdf, pdf = (float(c) for c in z.law(np.array(v), density=True))
         return np.concatenate([[(x1 - v) * cdf], _grad_psi_of_u(p, u) * ((x1 - v) * pdf - cdf)])
 
@@ -501,7 +501,7 @@ def _bsp_oracle(d1, p, z):
                         for i in range(4)])
     if u1 < 1:
         # the clearing boundary moves: atom0 x1 / (d psi/du) at u1
-        x1 = float(d1.quantile(1 - u1))
+        x1 = float(d1.isf(u1))
         out[1:] += _grad_psi_of_u(p, u1) * z.atom0 * x1 * u1 ** (1 + p.xi) \
             / ((1 - p.xi) * p.sigma)
     return out
@@ -595,6 +595,24 @@ class TestBSPInLogU:
         s = payoff._gp_s_at_virtual(p, 0.7)
         assert s == pytest.approx(2.0)
         assert payoff._gp_virtual_of_s(p, s) == pytest.approx(0.7, abs=1e-15)
+
+    def test_unbounded_value_law(self):
+        # x1 = isf(u) stays finite down to u = e^-700, where quantile(1 - u)
+        # is inf: the payoff read inf and the gradient NaN
+        d1 = dist.make_gp(0.0, 1.0, 0.0)
+        z = payoff.competition_distribution(uniforms(2))
+        p = dist.GPParams(0.1, 0.5, -0.5)
+        got = np.concatenate([[payoff.bsp_payoff(d1, p, z)],
+                              payoff.bsp_payoff_gradient(d1, p, z)])
+        assert np.all(np.isfinite(got))
+        ref = _bsp_oracle(d1, p, z)
+        assert np.max(np.abs(got - ref)) <= 1e-9 * np.max(np.abs(ref))
+        x = np.array([p.mu, p.sigma, p.xi])
+        step = 1e-5
+        fd = [(payoff.bsp_payoff(d1, dist.GPParams(*(x + step * e)), z)
+               - payoff.bsp_payoff(d1, dist.GPParams(*(x - step * e)), z)) / (2 * step)
+              for e in np.eye(3)]
+        np.testing.assert_allclose(got[1:], fd, rtol=0, atol=1e-8)
 
     def test_clearing_region_out_of_reach(self):
         # psi stays below its top mu - sigma/xi = -0.1 < 0: the bidder never clears

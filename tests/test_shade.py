@@ -226,3 +226,16 @@ class TestStrategyInvariants:
     def test_unknown_config(self, uniform):
         with pytest.raises(InvalidParams):
             shade.strategy_from_config({"kind": "nope"}, uniform)
+
+    @pytest.mark.parametrize("cfg,field", [
+        ({"kind": "linear"}, "alpha"),
+        ({"kind": "linear", "alpha": "half"}, "alpha"),
+        ({"kind": "equilibrium"}, "k"),
+        ({"kind": "equilibrium", "k": 2.5}, "k"),
+        ({"kind": "one-vs-uniform", "k": "4"}, "k"),
+        ({"kind": "one-vs-uniform", "k": 4, "eps": [1e-6]}, "eps"),
+        ({"kind": "gp-reparam", "mu": 0.0, "sigma": 0.5}, "xi"),
+    ])
+    def test_bad_field_is_named(self, uniform, cfg, field):
+        with pytest.raises(InvalidParams, match=f"field '{field}'"):
+            shade.strategy_from_config(cfg, uniform)
