@@ -80,6 +80,14 @@ def _build(make, path, *args):
         raise ConfigError(path, str(exc)) from exc
 
 
+def _out(cfg):
+    """The output path; refused, before anything is computed, unless its directory exists."""
+    out = _get(cfg, "out", str)
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise ConfigError("out", f"no such directory: {os.path.dirname(out)}")
+    return out
+
+
 def _model(cfg, field, default=_REQUIRED):
     return _build(dist.model_from_config, field, _get(cfg, field, dict, default))
 
@@ -99,7 +107,7 @@ def cmd_payoff_curve(cfg):
             raise ConfigError("alphas.count", "must be >= 1")
         alphas = np.linspace(_get(alphas, "alphas.start", float),
                              _get(alphas, "alphas.stop", float), count).tolist()
-    out = _get(cfg, "out", str)
+    out = _out(cfg)
     rows = []
     for k in k_values:
         competitors = [d1] * (k - 1)
@@ -120,8 +128,8 @@ def cmd_equilibrium_demo(cfg):
     d1 = _model(cfg, "value", _UNIFORM)
     rounds = _get(cfg, "rounds", int, 10 ** 6)
     seed = _get(cfg, "seed", int)
-    out = _get(cfg, "out", str)
-    workers = _get(cfg, "workers", int, None)
+    out = _out(cfg)
+    workers = _build(payoff._resolve_workers, "workers", _get(cfg, "workers", int, None))
 
     # the k bidders are identical: one model, one strategy of each kind
     eq = shade.equilibrium_shading(d1, k)
@@ -178,7 +186,7 @@ def cmd_one_strategic_demo(cfg):
     if n_rows < 1:
         raise ConfigError("points", "must be >= 1")
     alpha_lo, alpha_hi = _get(cfg, "alpha_bounds", [float, float], [0.01, 1.0])
-    out = _get(cfg, "out", str)
+    out = _out(cfg)
 
     optimal = shade.one_vs_uniform_shading(d1, k, eps)
     competitors = [dist.make_uniform()] * (k - 1)
@@ -218,7 +226,7 @@ def cmd_bsp_opt(cfg):
                   [[0.0, 1.0], [0.01, 2.0], [-4.0, -1e-6]])
     seed = _get(cfg, "seed", int, 0)
     point_mass = _get(cfg, "point_mass", bool, True)
-    out = _get(cfg, "out", str)
+    out = _out(cfg)
 
     z = payoff.competition_distribution(models)
     init_params = _build(dist.GPParams, "init", *init)
@@ -262,6 +270,10 @@ def _mechanism(mcfg, bid_models):
 
 
 def cmd_simulate(cfg):
+    rounds = _get(cfg, "rounds", int, 10 ** 5)
+    seed = _get(cfg, "seed", int)
+    out = _out(cfg)
+    workers = _build(payoff._resolve_workers, "workers", _get(cfg, "workers", int, None))
     bidders = _get(cfg, "bidders", [dict])
     if not bidders:
         raise ConfigError("bidders", "need at least one bidder")
@@ -274,10 +286,6 @@ def cmd_simulate(cfg):
                                        _get(b, path, dict, {"kind": "truthful"}), model)
         pairs.append(built[key])
     values, strategies = zip(*pairs)
-    rounds = _get(cfg, "rounds", int, 10 ** 5)
-    seed = _get(cfg, "seed", int)
-    out = _get(cfg, "out", str)
-    workers = _get(cfg, "workers", int, None)
     mcfg = _build(_mechanism, "mechanism", _get(cfg, "mechanism", dict),
                   [s.bid_distribution() for s in strategies])
     est = payoff.payoff_monte_carlo(values, strategies, mcfg, rounds, seed, workers=workers)

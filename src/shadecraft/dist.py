@@ -3,8 +3,11 @@
 Two concrete model families are provided: closed-form generalized Pareto
 models (the xi <= 0 branches only) and grid-backed models built from
 tabulated cdf/pdf values with monotone piecewise-cubic interpolation.
-Both expose the same surface: cdf, sf, pdf, quantile, mean, virtual value,
-inverse virtual value, hazard rate and sampling.
+Both expose the same surface: cdf, sf, pdf, quantile, isf, mean, virtual
+value, inverse virtual value, hazard rate and sampling. A family supplies
+psi and its inverse clamped into `psi_domain`, and psi's slope;
+`DistributionModel` derives `virtual_range`, the checked pair and
+`_virtual_law`, the law of psi(X), once.
 """
 
 import functools
@@ -201,19 +204,53 @@ class DistributionModel:
     def is_regular(self):
         raise NotImplementedError
 
-    def virtual_value(self, x):
-        raise NotImplementedError
-
-    def inverse_virtual_value(self, t):
-        raise NotImplementedError
-
     def virtual_value_clamped(self, x):
-        """Vectorized virtual value with inputs clamped to the valid range."""
+        """Vectorized virtual value with inputs clamped into psi_domain."""
         raise NotImplementedError
 
     def _inverse_virtual_clamped(self, t):
-        """Vectorized inverse virtual value, clamped to the valid range."""
+        """Vectorized inverse virtual value, clamped into psi_domain."""
         raise NotImplementedError
+
+    def virtual_value_slope(self, x):
+        """psi'(x), positive on a regular model."""
+        raise NotImplementedError
+
+    @functools.cached_property
+    def psi_domain(self):
+        """(lo, hi), the values where psi is evaluated: the support by default."""
+        return self.support
+
+    @functools.cached_property
+    def virtual_range(self):
+        """psi at the ends of psi_domain; the top is inf on an unbounded support."""
+        return tuple(float(v) for v in self.virtual_value_clamped(np.asarray(self.psi_domain)))
+
+    def virtual_value(self, x):
+        """psi(x) = x - (1 - F(x))/f(x); OutOfSupport outside psi_domain."""
+        x = np.asarray(x, dtype=float)
+        _check_within(x, self.psi_domain, 1e-12, "point outside the domain of psi")
+        return self.virtual_value_clamped(x)
+
+    def inverse_virtual_value(self, t):
+        """psi^{-1}(t); OutOfSupport for a target outside virtual_range."""
+        x = self._inverse_virtual_clamped(t)  # first: a non-regular grid raises NonRegular
+        _check_within(np.asarray(t, dtype=float), self.virtual_range, 1e-9,
+                      "target outside the range of the virtual value")
+        return x
+
+    def _virtual_law(self, t, density=False):
+        """Law of V = psi(X) at t, from one clamped inverse x = psi^{-1}(t):
+        (cdf, pdf if density else None). The cdf is F(x), and 1 above
+        virtual_range; the pdf is f(x)/psi'(x) inside it and 0 outside."""
+        t = np.asarray(t, dtype=float)
+        lo, hi = self.virtual_range
+        x = self._inverse_virtual_clamped(t)
+        above = t > hi
+        cdf = np.where(above, 1.0, self.cdf(x))
+        if not density:
+            return cdf, None
+        return cdf, np.where(above | (t < lo), 0.0, self.pdf(x) / self.virtual_value_slope(x))
 
     def monopoly_price(self):
         return self.inverse_virtual_value(0.0)
@@ -247,19 +284,25 @@ class DistributionModel:
         extra = extra[(extra > lo) & (extra < hi)]
         return np.unique(np.concatenate([xs, extra])) if extra.size else xs
 
+    def scaled(self, alpha):
+        """Law of alpha X for alpha > 0, tabulated on default_grid."""
+        xs = self.default_grid()
+        return transform_distribution(self, GridFunction(xs, alpha * xs))
+
+    def tail_mean(self, x):
+        """E[X | X >= x], by quadrature."""
+        return conditional_tail_expectation(self, lambda t: t, x)
+
     def _check_support(self, x, tol=1e-12):
-        lo, hi = self.support
-        span = (hi - lo) if np.isfinite(hi) else 1.0
-        if np.any(x < lo - tol * span) or np.any(x > hi + tol * span):
-            raise OutOfSupport(f"point outside support [{lo}, {hi}]")
+        _check_within(x, self.support, tol, "point outside support")
 
-    # Distribution of the virtualized quantity V = psi(X); used when this
-    # model plays the role of a competitor's bid distribution.
-    def _cdf_of_virtual(self, t):
-        raise NotImplementedError
 
-    def _pdf_of_virtual(self, t):
-        raise NotImplementedError
+def _check_within(v, bounds, tol, what):
+    """OutOfSupport if any of v is outside (lo, hi) by over tol * span (1 if hi is inf)."""
+    lo, hi = bounds
+    span = (hi - lo) if np.isfinite(hi) else 1.0
+    if np.any(v < lo - tol * span) or np.any(v > hi + tol * span):
+        raise OutOfSupport(f"{what} [{lo}, {hi}]")
 
 
 class GPDistribution(DistributionModel):
@@ -332,36 +375,25 @@ class GPDistribution(DistributionModel):
         p = self.params
         return (p.sigma - p.xi * p.mu) / (1.0 - p.xi)
 
-    # psi(x) = (1 - xi)(x - r*) is affine; the maps below state it once in
-    # each direction, unclipped, for the checked and clamped surfaces
-    def _affine_virtual(self, x):
-        return (1.0 - self.params.xi) * (np.asarray(x, dtype=float) - self.monopoly_price())
-
-    def _affine_inverse(self, t):
-        return np.asarray(t, dtype=float) / (1.0 - self.params.xi) + self.monopoly_price()
-
-    def virtual_value(self, x):
-        x = np.asarray(x, dtype=float)
-        self._check_support(x)
-        return self._affine_virtual(x)
-
+    # psi(x) = (1 - xi)(x - r*) is affine
     def virtual_value_clamped(self, x):
-        return self._affine_virtual(np.clip(x, *self.support))
-
-    def inverse_virtual_value(self, t):
-        x = self._affine_inverse(t)
-        self._check_support(x, tol=1e-9)
-        return x
+        x = np.clip(np.asarray(x, dtype=float), *self.psi_domain)
+        return (1.0 - self.params.xi) * (x - self.monopoly_price())
 
     def _inverse_virtual_clamped(self, t):
-        return np.clip(self._affine_inverse(t), *self.support)
+        x = np.asarray(t, dtype=float) / (1.0 - self.params.xi) + self.monopoly_price()
+        return np.clip(x, *self.psi_domain)
 
-    def _cdf_of_virtual(self, t):
-        return self.cdf(self._inverse_virtual_clamped(t))
+    def virtual_value_slope(self, x):
+        return 1.0 - self.params.xi
 
-    def _pdf_of_virtual(self, t):
-        # unclipped: f_Z must stay 0 above the top of the virtualized support
-        return self.pdf(self._affine_inverse(t)) / (1.0 - self.params.xi)
+    def scaled(self, alpha):
+        p = self.params
+        return make_gp(alpha * p.mu, alpha * p.sigma, p.xi)
+
+    def tail_mean(self, x):
+        p = self.params
+        return (x - p.mu + p.sigma) / (1.0 - p.xi) + p.mu
 
 
 class GridDistribution(DistributionModel):
@@ -411,7 +443,7 @@ class GridDistribution(DistributionModel):
                 fcdf = np.append(fcdf, cutoff)
                 fpdf = np.append(fpdf, np.clip(self._F.slope(x_c), 0.0, None))
         psi = xs - (1.0 - fcdf) / np.clip(fpdf, 1e-300, None)
-        self._psi_knots = xs
+        self.psi_domain = (float(xs[0]), float(xs[-1]))
         self._psi_values = psi
         # regularity is only decidable up to the grid's own resolution
         scale = max(abs(psi[0]), abs(psi[-1]), 1e-6)
@@ -462,34 +494,15 @@ class GridDistribution(DistributionModel):
     def is_regular(self):
         return self._regular
 
-    def virtual_value(self, x):
-        x = np.asarray(x, dtype=float)
-        self._check_support(x)
-        if np.any(x > self._psi_knots[-1] + 1e-12 * (self.knots[-1] - self.knots[0])):
-            raise OutOfSupport(
-                "virtual value is only evaluated up to the F <= 1 - 1e-9 quantile on grids")
-        return self.virtual_value_clamped(x)
-
     def virtual_value_clamped(self, x):
-        x = np.clip(np.asarray(x, dtype=float), self._psi_knots[0], self._psi_knots[-1])
-        return self._psi(x)
-
-    def inverse_virtual_value(self, t):
-        if not self._regular:
-            raise NonRegular("virtual value is not increasing on the grid")
-        t = np.asarray(t, dtype=float)
-        span = self._psi_values[-1] - self._psi_values[0]
-        if np.any(t < self._psi_values[0] - 1e-9 * span) or \
-                np.any(t > self._psi_values[-1] + 1e-9 * span):
-            raise OutOfSupport("target outside the range of the virtual value")
-        return self._inverse_virtual_clamped(t)
+        return self._psi(np.clip(np.asarray(x, dtype=float), *self.psi_domain))
 
     def _inverse_virtual_clamped(self, t):
         if not self._regular:
             raise NonRegular("virtual value is not increasing on the grid")
         t = np.clip(np.asarray(t, dtype=float), self._psi_values[0], self._psi_values[-1])
         x = self._psi_inv(t)
-        lo, hi = self._psi_knots[0], self._psi_knots[-1]
+        lo, hi = self.psi_domain
         # damped Newton: skip updates in near-flat regions of psi
         for _ in range(3):
             x = np.clip(x, lo, hi)
@@ -499,24 +512,9 @@ class GridDistribution(DistributionModel):
             x = x - step
         return np.clip(x, lo, hi)
 
-    def _cdf_of_virtual(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.empty_like(t, dtype=float)
-        below = t < self._psi_values[0]
-        above = t > self._psi_values[-1]
-        mid = ~(below | above)
-        out[below] = self.cdf_values[0]
-        out[above] = 1.0
-        out[mid] = self.cdf(self._inverse_virtual_clamped(t[mid]))
-        return out
-
-    def _pdf_of_virtual(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t, dtype=float)
-        mid = (t >= self._psi_values[0]) & (t <= self._psi_values[-1])
-        x = self._inverse_virtual_clamped(t[mid])
-        out[mid] = self.pdf(x) / np.clip(self._psi.slope(x), 1e-12, None)
-        return out
+    def virtual_value_slope(self, x):
+        """The psi table's slope, floored at 1e-12 where the table flattens."""
+        return np.clip(self._psi.slope(x), 1e-12, None)
 
 
 def make_gp(mu, sigma=None, xi=None) -> GPDistribution:
@@ -550,19 +548,18 @@ def transform_distribution(model: DistributionModel, beta: GridFunction) -> Grid
 
 
 def conditional_tail_expectation(model: DistributionModel, h, x) -> float:
-    """E[h(X) | X >= x]; h=None means the identity (closed form for GP models)."""
+    """E[h(X) | X >= x]; h=None means the identity, model.tail_mean(x)
+    (a closed form on GP models)."""
     x = float(x)
     model._check_support(np.asarray(x))
-    if h is None and isinstance(model, GPDistribution):
-        p = model.params
-        return (x - p.mu + p.sigma) / (1.0 - p.xi) + p.mu
-    fn = (lambda t: t) if h is None else h
+    if h is None:
+        return model.tail_mean(x)
     tail = float(model.sf(x))
     upper = model.grid_upper()
     if tail < 1e-12 or x >= upper:
         # degenerate tail: E[h(X) | X >= x] -> h(x)
-        return float(np.asarray(fn(np.asarray([x], dtype=float)))[0])
-    num = _quad.integrate(lambda t: np.asarray(fn(t)) * model.pdf(t), x, upper)
+        return float(np.asarray(h(np.asarray([x], dtype=float)))[0])
+    num = _quad.integrate(lambda t: np.asarray(h(t)) * model.pdf(t), x, upper)
     if not np.isfinite(num):
         raise InvalidParams("h is not integrable against the density")
     return num / tail

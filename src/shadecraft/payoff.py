@@ -65,27 +65,28 @@ class CompetitionDistribution:
             if not m.is_regular:
                 raise NonRegular("competition requires regular bid distributions")
         self.models = tuple(bid_models)
-        self._jump = float(np.prod([m._cdf_of_virtual(np.zeros(1))[0] for m in self.models])) \
+        self._jump = float(np.prod([m._virtual_law(np.zeros(1))[0][0] for m in self.models])) \
             if self.models else 1.0
         self.atom0 = self._jump if atom0 is None else float(atom0)
 
     @cached_property
     def tops(self):
         """Each competitor's finite top virtualized bid, where F_Z kinks and f_Z jumps."""
-        tops = (float(m.virtual_value_clamped(np.asarray(m.support[1]))) for m in self.models)
-        return tuple(t for t in tops if np.isfinite(t))
+        return tuple(m.virtual_range[1] for m in self.models if np.isfinite(m.virtual_range[1]))
 
     def law(self, t, density=False):
         """(cdf(t), pdf(t) if density else None) from one evaluation of each
-        competitor's virtualized-bid cdf, which the density's product rule reuses."""
+        competitor's virtualized-bid law, whose cdf the density's product rule reuses."""
         t = np.asarray(t, dtype=float)
+        # at t <= 0 only the atom or 0 is returned, so each law is read at t+
         tc = np.clip(t, 0.0, None)
-        cdfs = [m._cdf_of_virtual(tc) for m in self.models]
+        laws = [m._virtual_law(tc, density) for m in self.models]
+        cdfs = [cdf for cdf, _ in laws]
         gamma = reduce(np.multiply, cdfs, np.ones_like(t))
         cdf = np.where(t > 0, gamma, np.where(t < 0, 0.0, self.atom0))
         if not density:
             return cdf, None
-        pdfs = [m._pdf_of_virtual(t) for m in self.models]
+        pdfs = [pdf for _, pdf in laws]
         return cdf, np.where(t <= 0, 0.0, _product_density(t, cdfs, pdfs))
 
     def cdf(self, t):
@@ -104,24 +105,17 @@ def competition_distribution(bid_models) -> CompetitionDistribution:
 
 def gp_competition_ratio(params: GPParams, k: int):
     """Closed-form t -> F_Z(t)/f_Z(t) for k-1 i.i.d. GP competitors:
-    (c_psi/(k-1)) F_Y(t/c_psi + r*) / f_Y(t/c_psi + r*)."""
+    (psi'/(k-1)) F_Y(x) / f_Y(x) at x = psi^{-1}(t), with psi' = 1 - xi."""
     if k < 2:
         raise InvalidParams("k must be >= 2")
     model = GPDistribution(params)
-    c = 1.0 - params.xi
-    r_star = model.monopoly_price()
-    lo, hi = model.support
 
     def ratio(t):
-        t = np.asarray(t, dtype=float)
-        x = t / c + r_star
-        span = (hi - lo) if np.isfinite(hi) else 1.0
-        if np.any(x < lo - 1e-12 * span) or np.any(x > hi + 1e-12 * span):
-            raise OutOfSupport("t maps outside the competitor support")
-        dens = model.pdf(np.clip(x, lo, hi if np.isfinite(hi) else None))
+        x = model.inverse_virtual_value(t)
+        dens = model.pdf(x)
         if np.any(dens <= 0):
             raise OutOfSupport("competitor density vanishes at the mapped point")
-        return (c / (k - 1)) * model.cdf(x) / dens
+        return (model.virtual_value_slope(x) / (k - 1)) * model.cdf(x) / dens
 
     return ratio
 
@@ -196,10 +190,14 @@ def payoff_quadrature(d1: DistributionModel, strategy: ShadingStrategy,
 # ----------------------------------------------------------------------
 
 def _resolve_workers(workers):
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get("SHADECRAFT_WORKERS")
-    return max(1, int(env)) if env else 1
+    """workers, else $SHADECRAFT_WORKERS, else 1; InvalidParams unless an integer >= 1."""
+    if workers is None:
+        workers = os.environ.get("SHADECRAFT_WORKERS") or "1"
+    n = int(workers) if str(workers).strip().isdecimal() else 0
+    if n < 1:
+        raise InvalidParams(f"workers (or SHADECRAFT_WORKERS) must be an integer >= 1, "
+                            f"got {workers!r}")
+    return n
 
 
 def _chunk_stats(value_models, strategies, cfg, seed, chunk_index, size):

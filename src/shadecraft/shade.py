@@ -81,10 +81,7 @@ class LinearShading(ShadingStrategy):
         return self.alpha * self.base.virtual_value_clamped(x)
 
     def _make_bid_distribution(self):
-        if isinstance(self.base, GPDistribution):
-            p = self.base.params
-            return make_gp(self.alpha * p.mu, self.alpha * p.sigma, p.xi)
-        return super()._make_bid_distribution()
+        return self.base.scaled(self.alpha)
 
 
 class GridShading(ShadingStrategy):
@@ -130,19 +127,17 @@ class GridShading(ShadingStrategy):
 class GPReparamShading(ShadingStrategy):
     """Bid so that the bid distribution is exactly GP(params).
 
-    bid(x) = (sigma/xi) [(1 - F1(x))^{-xi} - 1] + mu, increasing in x.
+    bid(x) = GP(params).isf(1 - F1(x)) = (sigma/xi) [(1 - F1(x))^{-xi} - 1] + mu.
     """
 
     def __init__(self, base: DistributionModel, params: GPParams):
         self.base = base
         self.params = params
+        self._bid_dist = GPDistribution(params)  # the bid law, as bid_distribution() returns it
 
     def bid(self, x):
-        p = self.params
         u = self.base.sf(np.asarray(x, dtype=float))
-        if p.xi == 0:
-            return p.mu - p.sigma * np.log(np.clip(u, 1e-300, None))
-        return p.mu + (p.sigma / p.xi) * (u ** (-p.xi) - 1.0)
+        return self._bid_dist.isf(np.clip(u, 1e-300, None))
 
     def bid_derivative(self, x):
         p = self.params
@@ -151,11 +146,7 @@ class GPReparamShading(ShadingStrategy):
         return p.sigma * self.base.pdf(x) * np.clip(u, 1e-300, None) ** (-p.xi - 1.0)
 
     def virtualized_bid(self, x):
-        p = self.params
-        return (1.0 - p.xi) * self.bid(x) - p.sigma + p.xi * p.mu
-
-    def _make_bid_distribution(self):
-        return GPDistribution(self.params)
+        return self._bid_dist.virtual_value_clamped(self.bid(x))
 
 
 def truthful(base: DistributionModel) -> ShadingStrategy:

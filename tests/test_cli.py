@@ -276,6 +276,9 @@ REFUSED = {
     "equilibrium-non-monotone": ("equilibrium-demo", {
         "k": 3, "seed": 1, "value": {"kind": "gp", "mu": 0, "sigma": 1, "xi": -0.2}}),
     "point-mass-not-bool": ("bsp-opt", {"value": UNIFORM, "point_mass": 1}),
+    "workers-negative": ("equilibrium-demo", {"k": 2, "seed": 1, "workers": -3}),
+    "workers-zero": ("simulate", {
+        "mechanism": {"kind": "myerson"}, "bidders": BIDDERS, "seed": 1, "workers": 0}),
 }
 
 
@@ -289,6 +292,25 @@ class TestRefusedConfigs:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: ")
         assert "Traceback" not in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,payload", [
+        ("payoff-curve", {"mechanism": "myerson", "k_values": [2]}),
+        ("simulate", {"mechanism": {"kind": "myerson"}, "bidders": BIDDERS, "seed": 1})])
+    def test_out_in_missing_directory(self, tmp_path, capsys, command, payload):
+        out = tmp_path / "missing" / "out"
+        cfg = write_config(tmp_path, "c.json", {**payload, "out": str(out)})
+        assert cli.main([command, cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: out: no such directory")
+        assert not out.parent.exists()
+
+    def test_workers_env_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("SHADECRAFT_WORKERS", "two")
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, "c.json", {
+            "mechanism": {"kind": "myerson"}, "bidders": BIDDERS, "seed": 1, "out": str(out)})
+        assert cli.main(["simulate", cfg]) == 2
+        assert "SHADECRAFT_WORKERS) must be an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_field_path_is_named(self, tmp_path, capsys):

@@ -1,0 +1,62 @@
+"""Design invariants of the library source.
+
+A rule that differs by model family or shading strategy is a method of that
+family or strategy, so no code under src/shadecraft dispatches on a model or
+strategy class with isinstance (or issubclass).
+"""
+
+import ast
+from pathlib import Path
+
+from shadecraft import dist, shade
+
+SRC = Path(dist.__file__).resolve().parent
+
+
+def _family(root):
+    out, todo = set(), [root]
+    while todo:
+        cls = todo.pop()
+        out.add(cls.__name__)
+        todo.extend(cls.__subclasses__())
+    return out
+
+
+# every model and strategy class the package defines
+DISPATCH_CLASSES = _family(dist.DistributionModel) | _family(shade.ShadingStrategy)
+
+
+def _class_names(node):
+    """Names in an isinstance class argument: a name, a dotted name or a tuple of them."""
+    if isinstance(node, ast.Tuple):
+        return [n for elt in node.elts for n in _class_names(elt)]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, ast.Name):
+        return [node.id]
+    return []
+
+
+def _class_checks(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id in ("isinstance", "issubclass") and len(node.args) == 2:
+            yield node.lineno, _class_names(node.args[1])
+
+
+def test_known_classes_are_found():
+    assert {"GPDistribution", "GridDistribution", "LinearShading", "GridShading",
+            "GPReparamShading"} <= DISPATCH_CLASSES
+
+
+def test_no_isinstance_dispatch_on_models_or_strategies():
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for line, names in _class_checks(ast.parse(path.read_text(), str(path))):
+            found += [f"{path.name}:{line}: {n}" for n in names if n in DISPATCH_CLASSES]
+    assert not found, "isinstance on a model or strategy class:\n" + "\n".join(found)
+
+
+def test_scan_sees_a_dispatch():
+    tree = ast.parse("if isinstance(model, (float, dist.GPDistribution)):\n    pass\n")
+    assert [n for _, names in _class_checks(tree) for n in names] == ["float", "GPDistribution"]

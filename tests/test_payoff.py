@@ -81,14 +81,33 @@ _COMPETITIONS = (
 )
 
 
+def _reference_virtual_law(m, t):
+    """cdf and pdf of psi(B), B ~ m, by the per-family formulas, each with its
+    own inverse: affine on GP models, a three-way split on grid tables."""
+    if isinstance(m, dist.GPDistribution):
+        c = 1.0 - m.params.xi
+        x = t / c + m.monopoly_price()
+        return m.cdf(np.clip(x, *m.support)), m.pdf(x) / c
+    lo, hi = m._psi_values[0], m._psi_values[-1]
+    below, above = t < lo, t > hi
+    mid = ~(below | above)
+    cdf = np.empty_like(t)
+    cdf[below] = m.cdf_values[0]
+    cdf[above] = 1.0
+    cdf[mid] = m.cdf(m._inverse_virtual_clamped(t[mid]))
+    pdf = np.zeros_like(t)
+    x = m._inverse_virtual_clamped(t[mid])
+    pdf[mid] = m.pdf(x) / np.clip(m._psi.slope(x), 1e-12, None)
+    return cdf, pdf
+
+
 def _reference_law(z, t):
-    """F_Z and f_Z, each from its own evaluation of every competitor's cdf."""
+    """F_Z and f_Z, each from its own evaluation of every competitor's law."""
     gamma = np.ones_like(t)
     for m in z.models:
-        gamma = gamma * m._cdf_of_virtual(np.clip(t, 0.0, None))
+        gamma = gamma * _reference_virtual_law(m, np.clip(t, 0.0, None))[0]
     cdf = np.where(t > 0, gamma, np.where(t < 0, 0.0, z.atom0))
-    cdfs = [m._cdf_of_virtual(t) for m in z.models]
-    pdfs = [m._pdf_of_virtual(t) for m in z.models]
+    cdfs, pdfs = zip(*(_reference_virtual_law(m, t) for m in z.models))
     return cdf, np.where(t <= 0, 0.0, payoff._product_density(t, cdfs, pdfs))
 
 
@@ -213,6 +232,16 @@ class TestMonteCarlo:
         monkeypatch.setenv("SHADECRAFT_WORKERS", "4")
         assert payoff._resolve_workers(None) == 4
         assert payoff._resolve_workers(2) == 2
+        monkeypatch.setenv("SHADECRAFT_WORKERS", "")
+        assert payoff._resolve_workers(None) == 1
+
+    @pytest.mark.parametrize("workers,env", [(0, None), (-3, None), (None, "two"),
+                                             (None, "2.5"), (None, "0")])
+    def test_bad_worker_count_is_refused(self, monkeypatch, workers, env):
+        if env is not None:
+            monkeypatch.setenv("SHADECRAFT_WORKERS", env)
+        with pytest.raises(InvalidParams):
+            payoff._resolve_workers(workers)
 
     @pytest.mark.parametrize("make_strategy", [
         lambda u: shade.truthful(u),

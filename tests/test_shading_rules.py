@@ -90,7 +90,6 @@ def test_non_regular_grid_raises_non_regular():
     m = dist.transform_distribution(UNIFORM, dist.GridFunction(xs, xs ** 2 + xs))
     assert not m.is_regular
     t = np.array([0.0, 0.5])
-    for method in (m._inverse_virtual_clamped, m._cdf_of_virtual, m._pdf_of_virtual,
-                   m.inverse_virtual_value):
+    for method in (m._inverse_virtual_clamped, m._virtual_law, m.inverse_virtual_value):
         with pytest.raises(NonRegular):
             method(t)

@@ -7,10 +7,12 @@ grid tolerance 1e-8.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadecraft import dist
+from shadecraft.errors import OutOfSupport
 
 ROUNDTRIP_TOL = 1e-8
 _XS = np.linspace(0.0, 1.0, 129)
@@ -33,9 +35,7 @@ gap = st.floats(1e-9, 10.0)
 
 def valid_range(m):
     """(lo, hi) of the values where virtual_value is defined; hi may be inf."""
-    if isinstance(m, dist.GridDistribution):
-        return float(m._psi_knots[0]), float(m._psi_knots[-1])
-    return m.support
+    return m.psi_domain
 
 
 def inner(m, u):
@@ -103,3 +103,19 @@ def test_inverse_roundtrip(m, u):
     assert abs(m._inverse_virtual_clamped(t)[0] - x[0]) <= ROUNDTRIP_TOL * scale
     assert abs(m.virtual_value_clamped(m._inverse_virtual_clamped(t))[0] - t[0]) \
         <= ROUNDTRIP_TOL * scale
+
+
+@pytest.mark.parametrize("m", [dist.make_uniform(), dist.make_gp(0.2, 1.0, -0.5),
+                               dist.make_gp(0.1, 2.0, 0.0), *GRID_MODELS])
+def test_inverse_refuses_targets_outside_virtual_range(m):
+    # the range check is in t: 1e-6 of the range's span (1 when unbounded)
+    # beyond either end is refused, and the ends themselves are not
+    lo, hi = m.virtual_range
+    assert (lo, hi) == tuple(m.virtual_value(np.asarray(m.psi_domain)))
+    ends = [lo, hi] if np.isfinite(hi) else [lo]
+    span = hi - lo if np.isfinite(hi) else 1.0
+    np.testing.assert_allclose(m.inverse_virtual_value(np.asarray(ends)),
+                               m.psi_domain[:len(ends)], rtol=0, atol=ROUNDTRIP_TOL)
+    for t in [lo - 1e-6 * span] + ([hi + 1e-6 * span] if np.isfinite(hi) else []):
+        with pytest.raises(OutOfSupport):
+            m.inverse_virtual_value(np.asarray([t]))
