@@ -426,9 +426,11 @@ class GridDistribution(DistributionModel):
         with np.errstate(divide="ignore", over="ignore"):
             self._Q = _Table(self.cdf_values, self.knots)
 
-        # virtual value tabulated where the tail is numerically safe
+        # virtual value tabulated where the tail is numerically safe, from the
+        # first knot with positive density (psi is -inf where f = 0)
         cutoff = 1.0 - TAIL_CDF_CUTOFF
         mask = self.cdf_values <= cutoff
+        mask[:np.argmax(self.pdf_values > 0)] = False
         if mask.sum() < 4:
             raise InvalidParams("too few knots below the tail cutoff")
         xs = self.knots[mask]

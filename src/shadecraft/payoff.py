@@ -40,6 +40,16 @@ _CHUNK = 1 << 16  # Monte Carlo rounds per counter-keyed chunk
 _EPS4 = 4 * np.finfo(float).eps  # brentq's smallest relative tolerance
 
 
+def _each_distinct(fn, items):
+    """[fn(i) for i in items], calling fn once per distinct object (matched by
+    identity): k-1 i.i.d. competitors passed as one repeated model cost one call."""
+    out = {}
+    for i in items:
+        if id(i) not in out:
+            out[id(i)] = fn(i)
+    return [out[id(i)] for i in items]
+
+
 def _product_density(t, cdfs, pdfs):
     """Derivative of prod_i F_i: sum_i f_i prod_{j != i} F_j, summed in index order."""
     out = np.zeros_like(t)
@@ -65,8 +75,8 @@ class CompetitionDistribution:
             if not m.is_regular:
                 raise NonRegular("competition requires regular bid distributions")
         self.models = tuple(bid_models)
-        self._jump = float(np.prod([m._virtual_law(np.zeros(1))[0][0] for m in self.models])) \
-            if self.models else 1.0
+        self._jump = float(np.prod(_each_distinct(lambda m: m._virtual_law(np.zeros(1))[0][0],
+                                                  self.models))) if self.models else 1.0
         self.atom0 = self._jump if atom0 is None else float(atom0)
 
     @cached_property
@@ -76,11 +86,13 @@ class CompetitionDistribution:
 
     def law(self, t, density=False):
         """(cdf(t), pdf(t) if density else None) from one evaluation of each
-        competitor's virtualized-bid law, whose cdf the density's product rule reuses."""
+        distinct competitor's virtualized-bid law, whose cdf the density's product
+        rule reuses. Competitors are matched by identity: pass i.i.d. rivals as one
+        repeated model object; equal but separately built models are each read."""
         t = np.asarray(t, dtype=float)
         # at t <= 0 only the atom or 0 is returned, so each law is read at t+
         tc = np.clip(t, 0.0, None)
-        laws = [m._virtual_law(tc, density) for m in self.models]
+        laws = _each_distinct(lambda m: m._virtual_law(tc, density), self.models)
         cdfs = [cdf for cdf, _ in laws]
         gamma = reduce(np.multiply, cdfs, np.ones_like(t))
         cdf = np.where(t > 0, gamma, np.where(t < 0, 0.0, self.atom0))
@@ -287,19 +299,23 @@ def _linear_competition(competitor_models, kind):
     if kind not in ("vcg-lazy", "vcg-eager"):
         raise InvalidParams(f"unsupported mechanism kind for linear curves: {kind!r}")
     eager = kind == "vcg-eager"
-    models = tuple(competitor_models)
-    reserves = [m.monopoly_price() if eager else -np.inf for m in models]
-    floors = [m.cdf(r) if eager else 0.0 for m, r in zip(models, reserves)]
+
+    def competitor(m):
+        r = m.monopoly_price() if eager else -np.inf
+        return m, r, m.cdf(r) if eager else 0.0
+
+    # (model, reserve, floor); a repeated model gives one repeated tuple
+    comps = _each_distinct(competitor, competitor_models)
 
     def law(t, density=False):
-        cdfs = [np.maximum(f_r, m.cdf(t)) for m, f_r in zip(models, floors)]
+        cdfs = _each_distinct(lambda c: np.maximum(c[2], c[0].cdf(t)), comps)
         cdf = reduce(np.multiply, cdfs, np.ones_like(t))
         if not density:
             return cdf, None
-        pdfs = [np.where(t > r, m.pdf(t), 0.0) for m, r in zip(models, reserves)]
+        pdfs = _each_distinct(lambda c: np.where(t > c[1], c[0].pdf(t), 0.0), comps)
         return cdf, _product_density(t, cdfs, pdfs)
 
-    return law, reserves if eager else (), False
+    return law, [r for _, r, _ in comps] if eager else (), False
 
 
 def _linear_integral(d1, law, kinks, virtual, alphas, slope=False):

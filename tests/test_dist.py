@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shadecraft import dist
+from shadecraft import dist, shade
 from shadecraft._quad import integrate
 from shadecraft.errors import InvalidParams, NonMonotone, OutOfSupport
 
@@ -268,6 +268,51 @@ class TestGridModel:
         assert not m.is_regular
         with pytest.raises(Exception):
             m.inverse_virtual_value(0.1)
+
+
+class TestZeroDensityAtBottomKnot:
+    """psi = x - (1 - F)/f is -inf where f = 0: the psi table starts at the
+    first knot with positive density."""
+
+    xs = np.linspace(0.0, 1.0, 2048)
+
+    def test_square_law_table_is_finite(self):
+        m = dist.make_grid(self.xs, self.xs ** 2, 2 * self.xs)
+        assert m.psi_domain[0] == self.xs[1]
+        assert np.all(np.isfinite(m.virtual_range))
+        assert m.virtual_range[0] == pytest.approx(self.xs[1] - (1 - self.xs[1] ** 2)
+                                                   / (2 * self.xs[1]), rel=1e-12)
+        np.testing.assert_array_equal(m.virtual_value_clamped(np.array([0.0, 1e-4])),
+                                      m.virtual_range[0])
+        with pytest.raises(OutOfSupport):
+            m.virtual_value(np.array([0.0, 1e-4]))
+        x = np.linspace(0.01, 0.99, 50)
+        np.testing.assert_allclose(m.virtual_value(x), x - (1 - x ** 2) / (2 * x),
+                                   rtol=1e-6, atol=1e-9)
+        assert m.monopoly_price() == pytest.approx(1 / np.sqrt(3), abs=1e-9)
+
+    def test_shaded_bid_law_table_is_finite(self):
+        m = dist.make_grid(self.xs, self.xs ** 2, 2 * self.xs)
+        b = shade.linear_shading(m, 0.6).bid_distribution()
+        assert np.all(np.isfinite(b.virtual_range))
+        with pytest.raises(OutOfSupport):
+            b.inverse_virtual_value(b.virtual_range[0] - 1.0)
+
+    def test_bimodal_law_is_not_regular(self):
+        x = self.xs
+        f = x * (np.exp(-((x - 0.2) / 0.08) ** 2) + np.exp(-((x - 0.8) / 0.08) ** 2) + 0.05)
+        cdf = np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) / 2 * np.diff(x))])
+        f, cdf = f / cdf[-1], cdf / cdf[-1]
+        assert f[0] == 0.0
+        assert not dist.make_grid(x, cdf, f).is_regular
+        # the same law without its zero-density knot
+        top = 1.0 - cdf[1]
+        assert not dist.make_grid(x[1:], (cdf[1:] - cdf[1]) / top, f[1:] / top).is_regular
+
+    def test_positive_density_table_starts_at_the_bottom_knot(self):
+        m = dist.make_grid(self.xs, (self.xs + self.xs ** 2) / 2, (1 + 2 * self.xs) / 2)
+        assert m.psi_domain[0] == self.xs[0]
+        assert m.virtual_range[0] == -2.0  # 0 - (1 - 0) / (1/2)
 
 
 class TestInvertVirtualFromSamples:

@@ -74,10 +74,17 @@ def _square_law_grid():
     return dist.make_grid(xs, xs ** 2, 2 * xs)
 
 
+def _repeated_pair():
+    # a competitor repeated around another: [a, b, a]
+    a, b = _square_law_grid(), dist.make_gp(0.1, 0.7, -0.4)
+    return [a, b, a]
+
+
 _COMPETITIONS = (
     payoff.competition_distribution([dist.make_uniform(), dist.make_gp(0.1, 0.7, -0.4)]),
     payoff.competition_distribution([_square_law_grid(), dist.make_uniform()]),
     payoff.competition_distribution([_square_law_grid()] * 3),
+    payoff.competition_distribution(_repeated_pair()),
 )
 
 
@@ -124,6 +131,88 @@ def test_law_is_byte_equal_to_cdf_and_pdf(z, ts):
     for got, want in zip((cdf, pdf), _reference_law(z, t)):
         assert got.tobytes() == want.tobytes()
     assert z.law(t)[1] is None
+
+
+class TestDistinctCompetitors:
+    """Each distinct competitor object is read once per law call."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The models whose _virtual_law is called, in call order."""
+        seen = []
+        law = dist.DistributionModel._virtual_law
+        monkeypatch.setattr(dist.DistributionModel, "_virtual_law",
+                            lambda m, *a: seen.append(m) or law(m, *a))
+        return seen
+
+    @staticmethod
+    def _law_reads(reads, models, density):
+        z = payoff.competition_distribution(models)
+        reads.clear()
+        z.law(np.linspace(-0.5, 2.0, 7), density=density)
+        return reads
+
+    @pytest.mark.parametrize("density", [False, True])
+    def test_repeated_model_is_read_once(self, reads, density):
+        b = dist.make_gp(0.1, 0.7, -0.4)
+        assert self._law_reads(reads, [b] * 3, density) == [b]
+
+    @pytest.mark.parametrize("density", [False, True])
+    def test_mixed_order_reads_each_model_once(self, reads, density):
+        a, b, _ = models = _repeated_pair()
+        assert self._law_reads(reads, models, density) == [a, b]
+
+    def test_equal_models_built_apart_are_each_read(self, reads):
+        assert len(self._law_reads(reads, uniforms(3), True)) == 3
+
+    def test_atom_reads_a_repeated_model_once(self, reads):
+        b = dist.make_gp(0.1, 0.7, -0.4)
+        z = payoff.competition_distribution([b] * 4)
+        assert reads == [b]
+        jump = b.cdf(b.monopoly_price())
+        assert z.atom0 == jump * jump * jump * jump
+
+    def test_vcg_law_reads_a_repeated_model_once(self, monkeypatch):
+        m = dist.make_gp(0.1, 0.7, -0.4)
+        law, kinks, _ = payoff._linear_competition([m] * 4, "vcg-eager")
+        assert kinks == [m.monopoly_price()] * 4
+        reads = []
+        for name in ("cdf", "pdf"):
+            method = getattr(m, name)
+            monkeypatch.setattr(m, name, lambda t, f=method, n=name: reads.append(n) or f(t))
+        law(np.linspace(0.0, 2.0, 7), density=True)
+        assert reads == ["cdf", "pdf"]
+
+    @pytest.mark.parametrize("kind", ["vcg-lazy", "vcg-eager"])
+    @pytest.mark.parametrize("pattern", ["aaaa", "abaa"])
+    def test_vcg_law_is_the_product_over_every_competitor(self, kind, pattern):
+        # G = prod H_i and g by the product rule, in competitor order, as
+        # _linear_competition computed them before repeated models were merged
+        named = {"a": dist.make_gp(0.1, 0.7, -0.4), "b": dist.make_uniform()}
+        models = [named[c] for c in pattern]
+        eager = kind == "vcg-eager"
+        reserves = [m.monopoly_price() if eager else -np.inf for m in models]
+        floors = [m.cdf(r) if eager else 0.0 for m, r in zip(models, reserves)]
+        t = np.linspace(0.0, 2.0, 201)
+        cdfs = [np.maximum(f_r, m.cdf(t)) for m, f_r in zip(models, floors)]
+        pdfs = [np.where(t > r, m.pdf(t), 0.0) for m, r in zip(models, reserves)]
+        cdf, pdf = payoff._linear_competition(models, kind)[0](t, density=True)
+        assert cdf.tobytes() == functools.reduce(np.multiply, cdfs, np.ones_like(t)).tobytes()
+        assert pdf.tobytes() == payoff._product_density(t, cdfs, pdfs).tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_repeated_model_is_byte_equal_to_copies(self, kind, k):
+        m = dist.make_gp(0.1, 0.7, -0.4)
+        copies = [dist.make_gp(0.1, 0.7, -0.4) for _ in range(k - 1)]
+        alphas = [0.3, 0.55, 0.8, 1.0]
+        for rivals in ([m] * (k - 1), copies):
+            curve = payoff.linear_payoff_curve(m, rivals, kind, alphas)
+            slopes = [payoff.payoff_derivative_alpha(m, rivals, a, kind=kind) for a in alphas]
+            got = np.array([v for _, v in curve] + slopes).tobytes()
+            if rivals is copies:
+                assert got == want
+            want = got
 
 
 class TestGPCompetitionRatio:
