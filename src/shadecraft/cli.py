@@ -1,7 +1,8 @@
 """Experiment runner: reproduces the desk-scale results as CSV/JSON files.
 
 One JSON config file per invocation. `_get` reads and type-checks each field
-once; `_build` turns a library refusal of a sub-config into a ConfigError that
+once, by `dist._check`, the type rule the model and strategy parsers use too;
+`_build` turns a library refusal of a sub-config into a ConfigError that
 names its path. Each command registers only the flags that override fields it
 reads. `main` is the one error boundary: a refused config, including a library
 precondition that fails while a command runs, exits 2 with `config error: ...`
@@ -18,6 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__, dist, mech, opt, payoff, shade
+from .dist import _check
 from .errors import ConfigError, OptimizationError, ShadecraftError
 
 _REQUIRED = object()
@@ -39,23 +41,6 @@ def _write_csv(path, header, rows):
 
 def _write_json(path, obj):
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _check(value, kind, field):
-    """value checked as a `kind`: a JSON type, or a list of kinds for an array
-    with one element per kind, where [kind] takes an array of any length. A
-    float field also takes an integer and returns a float; only a bool field
-    takes true or false."""
-    if isinstance(kind, list):
-        items = _check(value, list, field)
-        kinds = kind * len(items) if len(kind) == 1 else kind
-        if len(kinds) != len(items):
-            raise ConfigError(field, f"expected {len(kinds)} elements, got {len(items)}")
-        return [_check(v, k, f"{field}[{i}]") for i, (v, k) in enumerate(zip(items, kinds))]
-    if isinstance(value, bool) != (kind is bool) \
-            or not isinstance(value, (int, float) if kind is float else kind):
-        raise ConfigError(field, f"expected {kind.__name__}, got {type(value).__name__}")
-    return float(value) if kind is float else value
 
 
 def _get(cfg, field, kind, default=_REQUIRED):

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from . import _quad
-from .errors import InvalidParams, NonMonotone, NonRegular, OutOfSupport
+from .errors import ConfigError, InvalidParams, NonMonotone, NonRegular, OutOfSupport
 
 GRID_N = 2048            # default knot count for grid-backed models
 TAIL_CDF_CUTOFF = 1e-9   # virtual values on grids are only evaluated for F <= 1 - cutoff
@@ -111,6 +111,18 @@ class _Table:
         if q.size < _NUMPY_MIN_POINTS:
             return self._pp(q), self._dpp(q)
         return self._eval(q, self._pp, self._dpp)
+
+    def invert(self, y, x, lo, hi, cap=None):
+        """The q in [lo, hi] where the table is y, refined from the guess x by 3
+        Newton steps, the slope floored at 1e-12; a step longer than cap is skipped."""
+        for _ in range(3):
+            x = np.clip(x, lo, hi)
+            value, slope = self.value_and_slope(x)
+            step = (value - y) / np.clip(slope, 1e-12, None)
+            if cap is not None:
+                step = np.where(np.abs(step) > cap, 0.0, step)
+            x = x - step
+        return np.clip(x, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -406,6 +418,8 @@ class GridDistribution(DistributionModel):
         cdf_values = np.asarray(cdf_values, dtype=float)
         if knots.ndim != 1 or knots.shape != cdf_values.shape or knots.size < 4:
             raise InvalidParams("knots and cdf values must be 1-d arrays of equal length >= 4")
+        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(cdf_values))):
+            raise InvalidParams("knots and cdf values must be finite")
         if np.any(np.diff(knots) <= 0):
             raise NonMonotone("knots must be strictly increasing")
         if np.any(np.diff(cdf_values) <= 0):
@@ -482,12 +496,7 @@ class GridDistribution(DistributionModel):
         if np.any(q < 0) or np.any(q > 1):
             raise InvalidParams("quantile argument must lie in [0, 1]")
         qc = np.clip(q, self.cdf_values[0], self.cdf_values[-1])
-        x = self._Q(qc)
-        # Newton refinement against the forward interpolant
-        for _ in range(3):
-            cdf, pdf = self._F.value_and_slope(np.clip(x, self.knots[0], self.knots[-1]))
-            x = np.clip(x - (cdf - qc) / np.clip(pdf, 1e-12, None), self.knots[0], self.knots[-1])
-        return x
+        return self._F.invert(qc, self._Q(qc), self.knots[0], self.knots[-1])
 
     def mean(self):
         return float(np.sum(_quad.panel_integrals(lambda t: t * self.pdf(t), self.knots)))
@@ -503,16 +512,9 @@ class GridDistribution(DistributionModel):
         if not self._regular:
             raise NonRegular("virtual value is not increasing on the grid")
         t = np.clip(np.asarray(t, dtype=float), self._psi_values[0], self._psi_values[-1])
-        x = self._psi_inv(t)
         lo, hi = self.psi_domain
-        # damped Newton: skip updates in near-flat regions of psi
-        for _ in range(3):
-            x = np.clip(x, lo, hi)
-            psi, slope = self._psi.value_and_slope(x)
-            step = (psi - t) / np.clip(slope, 1e-12, None)
-            step = np.where(np.abs(step) > 0.05 * (hi - lo), 0.0, step)
-            x = x - step
-        return np.clip(x, lo, hi)
+        # damped: a step is skipped in near-flat regions of psi
+        return self._psi.invert(t, self._psi_inv(t), lo, hi, cap=0.05 * (hi - lo))
 
     def virtual_value_slope(self, x):
         """The psi table's slope, floored at 1e-12 where the table flattens."""
@@ -534,19 +536,22 @@ def make_grid(knots, cdf_values, pdf_values=None) -> GridDistribution:
     return GridDistribution(knots, cdf_values, pdf_values)
 
 
-def transform_distribution(model: DistributionModel, beta: GridFunction) -> GridDistribution:
-    """Distribution of B = beta(X) for X ~ model, as a grid-backed model.
+def push_forward(model: DistributionModel, fn, derivative, xs) -> GridDistribution:
+    """Law of B = fn(X), X ~ model, on the knots fn(xs): H(fn(x)) = F(x) and
+    h(fn(x)) = f(x) / fn'(x). NonMonotone unless fn' > 0 at every knot."""
+    slope = derivative(xs)
+    if np.any(slope <= 0):
+        raise NonMonotone("beta must be strictly increasing on the support")
+    return GridDistribution(fn(xs), model.cdf(xs), model.pdf(xs) / slope)
 
-    The cdf/pdf knot values are exact images of the base model's values:
-    H(beta(x)) = F(x) and h(beta(x)) = f(x) / beta'(x).
-    """
+
+def transform_distribution(model: DistributionModel, beta: GridFunction) -> GridDistribution:
+    """Law of B = beta(X), X ~ model, pushed forward on default_grid(beta.knots),
+    or on default_grid() when beta has over 4 GRID_N knots inside it."""
     xs = model.default_grid()
     if np.count_nonzero((beta.knots > xs[0]) & (beta.knots < xs[-1])) <= 4 * GRID_N:
         xs = model.default_grid(beta.knots)
-    slope = beta.derivative(xs)
-    if np.any(slope <= 0):
-        raise NonMonotone("beta must be strictly increasing on the support")
-    return GridDistribution(beta(xs), model.cdf(xs), model.pdf(xs) / slope)
+    return push_forward(model, beta, beta.derivative, xs)
 
 
 def conditional_tail_expectation(model: DistributionModel, h, x) -> float:
@@ -593,22 +598,36 @@ def invert_virtual_from_distribution(model_of_w: DistributionModel, t) -> float:
     return num / (p - 1.0)
 
 
-def _field(cfg: dict, name, cast=float):
-    """cast(cfg[name]) for the config parsers; a missing field, or a value
-    cast refuses, raises InvalidParams naming the field."""
+def _check(value, kind, field):
+    """value checked as a `kind`: a JSON type, or a list of kinds for an array
+    with one element per kind, where [kind] takes an array of any length. A
+    float field also takes an integer and returns a float; only a bool field
+    takes true or false."""
+    if isinstance(kind, list):
+        items = _check(value, list, field)
+        kinds = kind * len(items) if len(kind) == 1 else kind
+        if len(kinds) != len(items):
+            raise ConfigError(field, f"expected {len(kinds)} elements, got {len(items)}")
+        return [_check(v, k, f"{field}[{i}]") for i, (v, k) in enumerate(zip(items, kinds))]
+    if isinstance(value, bool) != (kind is bool) \
+            or not isinstance(value, (int, float) if kind is float else kind):
+        raise ConfigError(field, f"expected {kind.__name__}, got {type(value).__name__}")
+    return float(value) if kind is float else value
+
+
+def _field(cfg: dict, name, kind=float):
+    """cfg[name] checked as a `kind` for the config parsers; a missing field, or
+    a value _check refuses, raises InvalidParams naming the field."""
     if name not in cfg:
         raise InvalidParams(f"missing field {name!r}")
     try:
-        return cast(cfg[name])
-    except (TypeError, ValueError):
+        return _check(cfg[name], kind, name)
+    except ConfigError:
         raise InvalidParams(f"invalid value for field {name!r}: {cfg[name]!r}") from None
 
 
 def _gp_params(cfg: dict) -> GPParams:
     return GPParams(*(_field(cfg, name) for name in ("mu", "sigma", "xi")))
-
-
-_array = functools.partial(np.asarray, dtype=float)
 
 
 def model_from_config(cfg: dict) -> DistributionModel:
@@ -617,6 +636,6 @@ def model_from_config(cfg: dict) -> DistributionModel:
     if kind == "gp":
         return make_gp(_gp_params(cfg))
     if kind == "grid":
-        return make_grid(_field(cfg, "knots", _array), _field(cfg, "cdf", _array),
-                         _field(cfg, "pdf", _array) if "pdf" in cfg else None)
+        return make_grid(_field(cfg, "knots", [float]), _field(cfg, "cdf", [float]),
+                         _field(cfg, "pdf", [float]) if "pdf" in cfg else None)
     raise InvalidParams(f"unknown distribution kind: {kind!r}")

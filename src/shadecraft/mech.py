@@ -16,6 +16,7 @@ from .dist import DistributionModel, GPParams
 from .errors import FitFailure, InvalidParams, NonRegular
 
 _FIT_NODES = (np.arange(64) + 0.5) / 64  # probability nodes for quantile least squares
+_XI_BOUNDS = (-20.0, 0.0)  # the quantile fit's search range for xi
 
 
 @dataclass(frozen=True)
@@ -186,7 +187,7 @@ def fit_monopoly_reserves(bid_models) -> tuple:
     return tuple(out)
 
 
-def fit_gp_quantile(model: DistributionModel, xi_bounds=(-20.0, 0.0)):
+def fit_gp_quantile(model: DistributionModel):
     """Least-squares fit of a GP(0, sigma, xi) quantile function to the model's.
 
     sigma enters linearly, so it is profiled out and the search runs over xi
@@ -210,17 +211,17 @@ def fit_gp_quantile(model: DistributionModel, xi_bounds=(-20.0, 0.0)):
         r = q - sigma * g
         return float(r @ r)
 
-    res = minimize_scalar(sse, bounds=xi_bounds, method="bounded",
+    res = minimize_scalar(sse, bounds=_XI_BOUNDS, method="bounded",
                           options={"xatol": 1e-12})
     xi = float(res.x)
     # one parabolic vertex step sharpens flat minima to near machine precision
     h = 1e-6
-    if xi_bounds[0] + h < xi < xi_bounds[1] - h:
+    if _XI_BOUNDS[0] + h < xi < _XI_BOUNDS[1] - h:
         s_lo, s_mid, s_hi = sse(xi - h), sse(xi), sse(xi + h)
         curv = s_hi - 2 * s_mid + s_lo
         if curv > 0:
             cand = xi - 0.5 * h * (s_hi - s_lo) / curv
-            if xi_bounds[0] < cand < xi_bounds[1] and sse(cand) <= s_mid:
+            if _XI_BOUNDS[0] < cand < _XI_BOUNDS[1] and sse(cand) <= s_mid:
                 xi = float(cand)
     # the boundary xi -> 0 is a legitimate fit (exponential branch)
     if sse(0.0) <= sse(xi):

@@ -8,9 +8,10 @@ quadrature, the functional directional derivative and the boosted-second-
 price parameter gradient all account for it explicitly.
 
 The reserve-clearing rule, the smallest value whose virtualized bid is
->= 0, lives in `_clearing_point`; the Myerson payoff integrand, over the
-values from that point up, lives in `_myerson_payoff`. Virtualized bids come
-from `shade.virtualize`. Linear shading (bid alpha x) has its own integrand,
+>= 0, lives in `_clearing_point`; the Myerson surplus (x - h) F_Z(h) and its
+first-order term D [(x - h) f_Z(h) - F_Z(h)], in `_surplus`; the law of the
+highest competitor, in `_law_of_max`. Virtualized bids come from
+`shade.virtualize`. Linear shading (bid alpha x) has its own integrand,
 `_linear_integral`: one row per alpha, for payoffs or their exact
 alpha-derivatives, under Myerson or VCG reserves.
 
@@ -34,7 +35,7 @@ from . import _quad
 from .dist import DistributionModel, GPDistribution, GPParams, GridFunction
 from .errors import InvalidParams, NonMonotone, NonRegular, OutOfSupport
 from .mech import MechanismConfig, _check_config, _outcomes
-from .shade import ShadingStrategy, virtualize
+from .shade import ShadingStrategy, _alpha, virtualize
 
 _CHUNK = 1 << 16  # Monte Carlo rounds per counter-keyed chunk
 _EPS4 = 4 * np.finfo(float).eps  # brentq's smallest relative tolerance
@@ -48,6 +49,17 @@ def _each_distinct(fn, items):
         if id(i) not in out:
             out[id(i)] = fn(i)
     return [out[id(i)] for i in items]
+
+
+def _law_of_max(t, law, competitors, density=False):
+    """(prod_i F_i, its density if density else None) at t for independent
+    competitors, from law(c) = (F_c(t), f_c(t) or None), read once per distinct one."""
+    laws = _each_distinct(law, competitors)
+    cdfs = [cdf for cdf, _ in laws]
+    cdf = reduce(np.multiply, cdfs, np.ones_like(t))
+    if not density:
+        return cdf, None
+    return cdf, _product_density(t, cdfs, [pdf for _, pdf in laws])
 
 
 def _product_density(t, cdfs, pdfs):
@@ -75,8 +87,8 @@ class CompetitionDistribution:
             if not m.is_regular:
                 raise NonRegular("competition requires regular bid distributions")
         self.models = tuple(bid_models)
-        self._jump = float(np.prod(_each_distinct(lambda m: m._virtual_law(np.zeros(1))[0][0],
-                                                  self.models))) if self.models else 1.0
+        zero = np.zeros(1)
+        self._jump = float(_law_of_max(zero, lambda m: m._virtual_law(zero), self.models)[0][0])
         self.atom0 = self._jump if atom0 is None else float(atom0)
 
     @cached_property
@@ -92,14 +104,9 @@ class CompetitionDistribution:
         t = np.asarray(t, dtype=float)
         # at t <= 0 only the atom or 0 is returned, so each law is read at t+
         tc = np.clip(t, 0.0, None)
-        laws = _each_distinct(lambda m: m._virtual_law(tc, density), self.models)
-        cdfs = [cdf for cdf, _ in laws]
-        gamma = reduce(np.multiply, cdfs, np.ones_like(t))
+        gamma, pdf = _law_of_max(t, lambda m: m._virtual_law(tc, density), self.models, density)
         cdf = np.where(t > 0, gamma, np.where(t < 0, 0.0, self.atom0))
-        if not density:
-            return cdf, None
-        pdfs = [pdf for _, pdf in laws]
-        return cdf, np.where(t <= 0, 0.0, _product_density(t, cdfs, pdfs))
+        return cdf, None if pdf is None else np.where(t <= 0, 0.0, pdf)
 
     def cdf(self, t):
         return self.law(t)[0]
@@ -170,14 +177,13 @@ def _clearing_point(h, lo, hi):
                   xtol=_EPS4 * (hi - lo), rtol=_EPS4)
 
 
-def _myerson_payoff(d1, h, z, x0, kinks=()):
-    """Integral of (x - h+) F_Z(h+) f1(x) over [x0, grid upper], h+ = max(h, 0):
-    the Myerson payoff of a bidder whose virtualized bid h clears at x0."""
-    def integrand(x):
-        hx = np.clip(h(x), 0.0, None)
-        return (x - hx) * z.cdf(hx) * d1.pdf(x)
-
-    return _quad.integrate(integrand, x0, d1.grid_upper(), breakpoints=kinks)
+def _surplus(z, x, h, direction=None):
+    """The Myerson surplus (x - h) F_Z(h) at value x and virtualized bid h >= 0,
+    or, given a direction D of h, its first-order term D [(x - h) f_Z(h) - F_Z(h)]."""
+    if direction is None:
+        return (x - h) * z.cdf(h)
+    cdf, pdf = z.law(h, density=True)
+    return direction * ((x - h) * pdf - cdf)
 
 
 def payoff_quadrature(d1: DistributionModel, strategy: ShadingStrategy,
@@ -193,7 +199,12 @@ def payoff_quadrature(d1: DistributionModel, strategy: ShadingStrategy,
     x0 = _clearing_point(h, d1.support[0], d1.grid_upper())
     if x0 is None:
         return PayoffEstimate(mean=0.0, per_bidder=(0.0,))
-    val = _myerson_payoff(d1, h, z, x0, strategy.kinks)
+
+    def integrand(x):
+        hx = np.clip(h(x), 0.0, None)
+        return _surplus(z, x, hx) * d1.pdf(x)
+
+    val = _quad.integrate(integrand, x0, d1.grid_upper(), breakpoints=strategy.kinks)
     return PayoffEstimate(mean=val, per_bidder=(val,))
 
 
@@ -308,12 +319,11 @@ def _linear_competition(competitor_models, kind):
     comps = _each_distinct(competitor, competitor_models)
 
     def law(t, density=False):
-        cdfs = _each_distinct(lambda c: np.maximum(c[2], c[0].cdf(t)), comps)
-        cdf = reduce(np.multiply, cdfs, np.ones_like(t))
-        if not density:
-            return cdf, None
-        pdfs = _each_distinct(lambda c: np.where(t > c[1], c[0].pdf(t), 0.0), comps)
-        return cdf, _product_density(t, cdfs, pdfs)
+        def one(c):
+            m, r, floor = c
+            return np.maximum(floor, m.cdf(t)), np.where(t > r, m.pdf(t), 0.0) if density else None
+
+        return _law_of_max(t, one, comps, density)
 
     return law, [r for _, r, _ in comps] if eager else (), False
 
@@ -339,12 +349,6 @@ def _linear_integral(d1, law, kinks, virtual, alphas, slope=False):
                                               d1.grid_upper(), breakpoints=breaks)
 
 
-def _check_alphas(alphas):
-    for a in alphas:
-        if not 0 < a <= 1:
-            raise InvalidParams(f"alpha must lie in (0, 1], got {a}")
-
-
 def linear_payoff_curve(d1, competitor_models, cfg_kind, alphas):
     """(alpha, payoff) pairs for a bidder who bids alpha x, each alpha in (0, 1],
     against truthful competitors; the seller refits reserves to the bids (Myerson
@@ -352,8 +356,7 @@ def linear_payoff_curve(d1, competitor_models, cfg_kind, alphas):
     curve is one vector integral with a row per alpha; under eager VCG each
     competitor's reserve r_i is met at x = r_i/alpha, a breakpoint."""
     competition = _linear_competition(competitor_models, cfg_kind)
-    alphas = [float(a) for a in alphas]
-    _check_alphas(alphas)
+    alphas = [_alpha(a) for a in alphas]
     return list(zip(alphas, map(float, _linear_integral(d1, *competition, alphas))))
 
 
@@ -363,8 +366,7 @@ def payoff_derivative_alpha(d1, competitor_models, at_alpha, kind="myerson"):
     Myerson: psi [(x - alpha psi) f_Z(alpha psi) - F_Z(alpha psi)] f, and
     VCG: [(x - alpha psi) x g(alpha x) - psi G(alpha x)] f with g = G'."""
     competition = _linear_competition(competitor_models, kind)
-    _check_alphas([at_alpha])
-    return float(_linear_integral(d1, *competition, [at_alpha], slope=True)[0])
+    return float(_linear_integral(d1, *competition, [_alpha(at_alpha)], slope=True)[0])
 
 
 # ----------------------------------------------------------------------
@@ -406,8 +408,7 @@ def directional_derivative(d1, beta: GridFunction, rho, z: CompetitionDistributi
 
     def integrand(x):
         hx = np.clip(h(x), 0.0, None)
-        cdf, pdf = z.law(hx, density=True)
-        return direction(x) * ((x - hx) * pdf - cdf) * d1.pdf(x)
+        return _surplus(z, x, hx, direction(x)) * d1.pdf(x)
 
     total = _quad.integrate(integrand, x0, hi)
 
@@ -498,7 +499,7 @@ def _bsp_integral(d1, p: GPParams, z: CompetitionDistribution, row):
 def bsp_payoff(d1, p: GPParams, z: CompetitionDistribution) -> float:
     """Payoff of the GP-reparametrized shading: the integral of
     (x1 - psi) F_Z(psi) over u = 1 - F1(x1), taken in s = -log u (see _bsp_integral)."""
-    return _bsp_integral(d1, p, z, lambda s, psi, x1: (x1 - psi) * z.cdf(psi))[0]
+    return _bsp_integral(d1, p, z, lambda s, psi, x1: _surplus(z, x1, psi))[0]
 
 
 def bsp_payoff_gradient(d1, p: GPParams, z: CompetitionDistribution,
@@ -514,11 +515,8 @@ def bsp_payoff_gradient(d1, p: GPParams, z: CompetitionDistribution,
     if p.xi >= 0:
         raise InvalidParams("gradient requires xi < 0")
 
-    def row(s, psi, x1):
-        cdf, pdf = z.law(psi, density=True)
-        return _grad_psi_of_s(p, s) * ((x1 - psi) * pdf - cdf)
-
-    total, s0 = _bsp_integral(d1, p, z, row)
+    total, s0 = _bsp_integral(
+        d1, p, z, lambda s, psi, x1: _surplus(z, x1, psi, _grad_psi_of_s(p, s)))
     out = np.zeros(3) + total
     if include_point_mass and 0.0 < s0 < _S_END:
         # boundary term: grad psi at the clearing point, times atom0 x1 f1(x1),

@@ -1,22 +1,20 @@
 """Shading strategies: how a strategic bidder maps values to bids.
 
 Every strategy knows its bid function, the bid function's derivative, the
-induced bid distribution, and the virtualized bid psi_B(beta(x)). The
+induced bid distribution, and its exact virtualized bid psi_B(beta(x)). The
 transform identity psi_B(beta(x)) = beta(x) + beta'(x) (psi_X(x) - x) lives
-in `virtualize`; strategies and the payoff engines call it from there.
-Strategies built from a target virtualized bid h carry h in closed form; the
-grid route through the induced bid distribution is kept for cross-checking.
-Strategies are tabulated on the base model's `default_grid`, with their
-kinks as extra knots.
+in `virtualize`; the payoff engines call it from there. A strategy built
+from a target virtualized bid h (`GridShading`) carries h in closed form.
+The bid law is pushed forward once, by `dist.push_forward`, with the
+strategy's own bid derivative on the base model's `default_grid`, with the
+strategy's kinks as extra knots.
 """
-
-import operator
 
 import numpy as np
 
 from . import _quad
-from .dist import (DistributionModel, GPDistribution, GPParams, GridDistribution,
-                   GridFunction, _field, _gp_params, make_gp, transform_distribution)
+from .dist import (DistributionModel, GPDistribution, GPParams, GridFunction, _field,
+                   _gp_params, make_gp, push_forward)
 from .errors import InvalidParams, NonMonotone, NonRegular
 
 DEFAULT_EPS = 1e-6  # the "0+" convention for one_vs_uniform_shading
@@ -30,7 +28,8 @@ def virtualize(base: DistributionModel, fn, derivative, x):
 
 
 class ShadingStrategy:
-    """Base class; subclasses define bid() and bid_derivative()."""
+    """Base class; subclasses define bid(), bid_derivative() and
+    virtualized_bid(), the exact psi_B(bid(x))."""
 
     base: DistributionModel
     kinks: tuple = ()  # value-space locations where the virtualized bid has kinks
@@ -42,8 +41,7 @@ class ShadingStrategy:
         raise NotImplementedError
 
     def virtualized_bid(self, x):
-        """psi_B(bid(x)) via the transform identity."""
-        return virtualize(self.base, self.bid, self.bid_derivative, x)
+        raise NotImplementedError
 
     def bid_distribution(self) -> DistributionModel:
         """Distribution of B = bid(X); cached after first construction."""
@@ -54,22 +52,28 @@ class ShadingStrategy:
         return cached
 
     def _make_bid_distribution(self) -> DistributionModel:
-        return transform_distribution(self.base, self.as_grid_function())
+        return push_forward(self.base, self.bid, self.bid_derivative,
+                            self.base.default_grid(self.kinks))
 
     def as_grid_function(self) -> GridFunction:
         xs = self.base.default_grid(self.kinks)
         return GridFunction(xs, self.bid(xs))
 
 
+def _alpha(alpha) -> float:
+    """A linear shading level as a float; InvalidParams unless it lies in (0, 1]."""
+    alpha = float(alpha)
+    if not 0 < alpha <= 1:
+        raise InvalidParams(f"alpha must lie in (0, 1], got {alpha}")
+    return alpha
+
+
 class LinearShading(ShadingStrategy):
     """bid(x) = alpha * x with 0 < alpha <= 1."""
 
     def __init__(self, base: DistributionModel, alpha: float):
-        alpha = float(alpha)
-        if not 0 < alpha <= 1:
-            raise InvalidParams(f"alpha must lie in (0, 1], got {alpha}")
         self.base = base
-        self.alpha = alpha
+        self.alpha = _alpha(alpha)
 
     def bid(self, x):
         return self.alpha * np.asarray(x, dtype=float)
@@ -85,43 +89,33 @@ class LinearShading(ShadingStrategy):
 
 
 class GridShading(ShadingStrategy):
-    """bid(x) tabulated on a grid, optionally with a known target virtualized bid."""
+    """Shading whose virtualized bid is the increasing target h: the bid is
+    gamma = gamma_from_target(base, h, kinks), tabulated on the grid."""
 
-    def __init__(self, base, bid_function: GridFunction, target=None, kinks=()):
+    def __init__(self, base: DistributionModel, target, kinks=()):
         self.base = base
-        self._bid_fn = bid_function
         self._target = target
         self.kinks = tuple(kinks)
+        self._gamma = gamma_from_target(base, target, self.kinks)
 
     def bid(self, x):
-        return self._bid_fn(x)
+        return self._gamma(x)
 
     def bid_derivative(self, x):
-        # with a known target the shading ODE gives the exact derivative:
+        # the shading ODE gives the exact derivative:
         # gamma'(x) = (h(x) - gamma(x)) / (psi(x) - x); fall back to the
         # interpolant where psi(x) - x ~ 0 (the upper support endpoint)
-        if self._target is None:
-            return self._bid_fn.derivative(x)
         x = np.asarray(x, dtype=float)
         gap = self.base.virtual_value_clamped(x) - x
         safe = np.abs(gap) > 1e-9
         ode = (np.asarray(self._target(x)) - self.bid(x)) / np.where(safe, gap, 1.0)
-        return np.where(safe, ode, self._bid_fn.derivative(x))
+        return np.where(safe, ode, self._gamma.derivative(x))
 
     def virtualized_bid(self, x):
-        if self._target is not None:
-            return np.asarray(self._target(np.asarray(x, dtype=float)))
-        return super().virtualized_bid(x)
-
-    def _make_bid_distribution(self):
-        if self._target is None:
-            return super()._make_bid_distribution()
-        xs = self.base.default_grid(self.kinks)
-        slope = np.clip(self.bid_derivative(xs), 1e-300, None)
-        return GridDistribution(self.bid(xs), self.base.cdf(xs), self.base.pdf(xs) / slope)
+        return np.asarray(self._target(np.asarray(x, dtype=float)))
 
     def as_grid_function(self):
-        return self._bid_fn
+        return self._gamma
 
 
 class GPReparamShading(ShadingStrategy):
@@ -205,9 +199,7 @@ def equilibrium_shading(model: DistributionModel, k: int) -> ShadingStrategy:
         raise InvalidParams("k must be >= 2")
     if not model.is_regular:
         raise NonRegular("equilibrium shading requires a regular value distribution")
-    beta_i = first_price_bid(model, k)
-    gamma = gamma_from_target(model, beta_i)
-    return GridShading(model, gamma, target=beta_i)
+    return GridShading(model, first_price_bid(model, k))
 
 
 def one_vs_uniform_shading(model: DistributionModel, k: int,
@@ -239,9 +231,7 @@ def one_vs_uniform_shading(model: DistributionModel, k: int,
         x = np.asarray(x, dtype=float)
         return np.where(x < x_eps, slope_lo * x, slope_hi * (x - 1.0 / (k - 1)))
 
-    kinks = (x_eps,) if lo < x_eps < hi else ()
-    gamma = gamma_from_target(model, h, kinks=kinks)
-    return GridShading(model, gamma, target=h, kinks=kinks)
+    return GridShading(model, h, kinks=(x_eps,) if lo < x_eps < hi else ())
 
 
 def gp_reparam_shading(model: DistributionModel, params: GPParams) -> ShadingStrategy:
@@ -271,10 +261,10 @@ def strategy_from_config(cfg: dict, base: DistributionModel) -> ShadingStrategy:
     if kind == "linear":
         return linear_shading(base, _field(cfg, "alpha"))
     if kind == "equilibrium":
-        return equilibrium_shading(base, _field(cfg, "k", operator.index))
+        return equilibrium_shading(base, _field(cfg, "k", int))
     if kind == "one-vs-uniform":
         eps = _field(cfg, "eps") if "eps" in cfg else DEFAULT_EPS
-        return one_vs_uniform_shading(base, _field(cfg, "k", operator.index), eps)
+        return one_vs_uniform_shading(base, _field(cfg, "k", int), eps)
     if kind == "gp-reparam":
         return gp_reparam_shading(base, _gp_params(cfg))
     raise InvalidParams(f"unknown strategy kind: {kind!r}")

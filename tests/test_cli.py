@@ -239,6 +239,12 @@ BIDDERS = [{"value": UNIFORM}] * 3
 REFUSED = {
     "gp-value-missing-sigma": ("payoff-curve", {
         "mechanism": "myerson", "k_values": [2], "value": GP_NO_SIGMA}),
+    "gp-value-string-and-bool": ("payoff-curve", {
+        "mechanism": "myerson", "k_values": [2],
+        "value": {"kind": "gp", "mu": "0", "sigma": True, "xi": -1}}),
+    "grid-value-nan-knot": ("payoff-curve", {
+        "mechanism": "myerson", "k_values": [2],
+        "value": {"kind": "grid", "knots": [0, 0.3, float("nan"), 1], "cdf": [0, 0.2, 0.5, 1]}}),
     "gp-bidder-missing-sigma": ("simulate", {
         "mechanism": {"kind": "myerson"}, "bidders": [{"value": GP_NO_SIGMA}] * 2,
         "seed": 1}),

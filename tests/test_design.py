@@ -2,7 +2,9 @@
 
 A rule that differs by model family or shading strategy is a method of that
 family or strategy, so no code under src/shadecraft dispatches on a model or
-strategy class with isinstance (or issubclass).
+strategy class with isinstance (or issubclass). A grid-backed law is built
+only in dist.py, where the push-forward H(beta(x)) = F(x), h = f/beta' is
+written once.
 """
 
 import ast
@@ -60,3 +62,28 @@ def test_no_isinstance_dispatch_on_models_or_strategies():
 def test_scan_sees_a_dispatch():
     tree = ast.parse("if isinstance(model, (float, dist.GPDistribution)):\n    pass\n")
     assert [n for _, names in _class_checks(tree) for n in names] == ["float", "GPDistribution"]
+
+
+GRID_CONSTRUCTORS = ("GridDistribution", "make_grid")
+
+
+def _constructions(tree):
+    """(line, name) of each call to a grid-backed law's constructor, by name or attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = node.func.attr if isinstance(node.func, ast.Attribute) \
+                else getattr(node.func, "id", None)
+            if name in GRID_CONSTRUCTORS:
+                yield node.lineno, name
+
+
+def test_only_dist_builds_grid_distributions():
+    found = [f"{path.name}:{line}: {name}" for path in sorted(SRC.rglob("*.py"))
+             if path.name != "dist.py"
+             for line, name in _constructions(ast.parse(path.read_text(), str(path)))]
+    assert not found, "grid-backed law built outside dist.py:\n" + "\n".join(found)
+
+
+def test_scan_sees_a_construction():
+    tree = ast.parse("a = GridDistribution(xs, f)\nb = dist.make_grid(xs, f)\n")
+    assert sorted(name for _, name in _constructions(tree)) == ["GridDistribution", "make_grid"]

@@ -361,6 +361,9 @@ class TestConfig:
         ({"kind": "grid", "knots": [0, 1, 2, 3], "cdf": [0, "a", 0.9, 1]}, "cdf"),
         ({"kind": "grid", "knots": [0, 1, 2, 3], "cdf": [0, 0.5, 0.9, 1],
           "pdf": [[1], [1, 2]]}, "pdf"),
+        ({"kind": "gp", "mu": "0", "sigma": 1, "xi": -1}, "mu"),
+        ({"kind": "gp", "mu": 0, "sigma": True, "xi": -1}, "sigma"),
+        ({"kind": "grid", "knots": [0, 1, 2, 3], "cdf": [0, 0.5, 0.9, True]}, "cdf"),
     ])
     def test_bad_field_is_named(self, cfg, field):
         with pytest.raises(InvalidParams, match=f"field '{field}'"):

@@ -263,8 +263,7 @@ class TestPayoffQuadrature:
         def h(x):
             return np.maximum(0.0, (2 / 3) * (np.asarray(x, dtype=float) - 0.5))
 
-        gamma = shade.gamma_from_target(u, h, kinks=(0.5,))
-        s = shade.GridShading(u, gamma, target=h, kinks=(0.5,))
+        s = shade.GridShading(u, h, kinks=(0.5,))
         with_atom = payoff.payoff_quadrature(u, s, z_two_uniform).mean
         without = payoff.payoff_quadrature(u, s, z_two_uniform.with_atom0(0.0)).mean
         assert with_atom == pytest.approx(229 / 1728, abs=1e-9)

@@ -235,6 +235,9 @@ class TestStrategyInvariants:
         ({"kind": "one-vs-uniform", "k": "4"}, "k"),
         ({"kind": "one-vs-uniform", "k": 4, "eps": [1e-6]}, "eps"),
         ({"kind": "gp-reparam", "mu": 0.0, "sigma": 0.5}, "xi"),
+        ({"kind": "linear", "alpha": True}, "alpha"),
+        ({"kind": "equilibrium", "k": True}, "k"),
+        ({"kind": "one-vs-uniform", "k": 4, "eps": "1e-3"}, "eps"),
     ])
     def test_bad_field_is_named(self, uniform, cfg, field):
         with pytest.raises(InvalidParams, match=f"field '{field}'"):

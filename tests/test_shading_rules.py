@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from shadecraft import dist, payoff, shade
 from shadecraft.dist import GRID_N
-from shadecraft.errors import NonRegular
+from shadecraft.errors import NonMonotone, NonRegular
 
 UNIFORM = dist.make_uniform()
 GP = dist.make_gp(0.2, 1.0, -0.5)
@@ -21,7 +21,7 @@ STRATEGIES = (
     shade.linear_shading(GP, 0.6),
     shade.gp_reparam_shading(UNIFORM, (0.1, 0.5, -0.4)),
     shade.gp_reparam_shading(GP, (0.0, 1.0, 0.0)),
-    shade.GridShading(UNIFORM, dist.GridFunction(_XS, _XS ** 2 / 2 + _XS)),
+    shade.GridShading(GP, lambda x: x ** 2 / 2 + x),
     shade.equilibrium_shading(UNIFORM, 3),
     shade.one_vs_uniform_shading(UNIFORM, 3),
 )
@@ -32,12 +32,6 @@ def _points(s, u):
     return lo + np.asarray(u) * (hi - lo)
 
 
-def _overrides(s):
-    if isinstance(s, shade.GridShading):
-        return s._target is not None
-    return type(s).virtualized_bid is not shade.ShadingStrategy.virtualized_bid
-
-
 # the closed forms and the identity part ways at the top of a bounded support,
 # where a GP reparametrization's bid diverges; stay below it
 @settings(max_examples=200, deadline=None)
@@ -45,13 +39,36 @@ def _overrides(s):
 def test_virtualize_is_the_virtualized_bid(s, u):
     x = _points(s, u)
     got = shade.virtualize(s.base, s.bid, s.bid_derivative, x)
-    if _overrides(s):
-        # closed forms of the same identity agree up to rounding
-        np.testing.assert_allclose(s.virtualized_bid(x), got, rtol=1e-9, atol=1e-12)
-    else:
-        inline = s.bid(x) + s.bid_derivative(x) * (s.base.virtual_value_clamped(x) - x)
-        assert np.array_equal(s.virtualized_bid(x), got)
-        assert np.array_equal(got, inline)
+    inline = s.bid(x) + s.bid_derivative(x) * (s.base.virtual_value_clamped(x) - x)
+    assert np.array_equal(got, inline)
+    # every strategy's virtualized bid is a closed form of the same identity,
+    # and agrees with it up to rounding
+    np.testing.assert_allclose(s.virtualized_bid(x), got, rtol=1e-9, atol=1e-12)
+
+
+class _Cubic(shade.ShadingStrategy):
+    """bid (x - 1/2)^3 on Unif[0, 1]: increasing, with a zero slope at the knot 1/2."""
+
+    base = UNIFORM
+    kinks = (0.5,)
+
+    def bid(self, x):
+        return (np.asarray(x, dtype=float) - 0.5) ** 3
+
+    def bid_derivative(self, x):
+        return 3 * (np.asarray(x, dtype=float) - 0.5) ** 2
+
+
+def test_push_forward_refuses_a_zero_slope():
+    s = _Cubic()
+    xs = UNIFORM.default_grid(s.kinks)
+    with pytest.raises(NonMonotone):
+        dist.push_forward(UNIFORM, s.bid, s.bid_derivative, xs)
+    # a strategy's bid law is that push-forward, with its own bid derivative
+    with pytest.raises(NonMonotone):
+        s.bid_distribution()
+    assert dist.push_forward(UNIFORM, s.bid, lambda x: 1.0 + s.bid_derivative(x), xs).support \
+        == (-0.125, 0.125)
 
 
 @pytest.mark.parametrize("model", [UNIFORM, GP, dist.make_gp(0.0, 1.0, 0.0)])
