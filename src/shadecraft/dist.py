@@ -14,7 +14,7 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import PPoly
 
 from . import _quad
 from .errors import ConfigError, InvalidParams, NonMonotone, NonRegular, OutOfSupport
@@ -49,10 +49,57 @@ def _signless_zeros(pp):
     return pp
 
 
+def _end_slope(h0, h1, m0, m1):
+    # the one-sided three-point slope, set to 0 where its sign differs from
+    # the end interval's and clamped to 3 m0 where the data turn
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _pchip(x, y):
+    """Fritsch-Carlson PCHIP of (x, y) as a PPoly that extrapolates: scipy's
+    PchipInterpolator(x, y, extrapolate=True) coefficient for coefficient, by
+    its arithmetic in its order. Refuses what scipy refuses: InvalidParams for
+    non-finite knots, values or slopes, NonMonotone for knots that do not
+    strictly increase."""
+    x = np.array(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+        raise InvalidParams("knots and values must be 1-d arrays of equal length >= 2")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidParams("knots and values must be finite")
+    h = x[1:] - x[:-1]
+    if (h <= 0).any():
+        raise NonMonotone("knots must be strictly increasing")
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        m = (y[1:] - y[:-1]) / h
+        d = np.empty_like(y)
+        if x.size == 2:  # the line through both knots
+            d[:] = m[0]
+        else:
+            # weighted harmonic mean of the neighbouring secants, 0 at an extremum
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            sign = np.sign(m)
+            flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+            d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            d[0] = _end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        if not np.isfinite(d).all():
+            raise InvalidParams("interpolant slopes must be finite at the knots")
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        c = np.array((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+    return PPoly.construct_fast(c, x, extrapolate=True)
+
+
 class _Table:
     """Fritsch-Carlson PCHIP interpolant of (x, y) and its slope, both
-    extrapolated from the end intervals and evaluated bit for bit as scipy's
-    PchipInterpolator evaluates them.
+    extrapolated from the end intervals, built by `_pchip` and evaluated bit
+    for bit as scipy's PchipInterpolator evaluates them.
 
     Large batches locate each point's interval once, for value and slope
     together. On knots that are equispaced to within one interval the index
@@ -61,9 +108,9 @@ class _Table:
     """
 
     def __init__(self, x, y, slopes=None):
-        self._pp = _signless_zeros(PchipInterpolator(x, y, extrapolate=True))
+        self._pp = _signless_zeros(_pchip(x, y))
         if slopes is not None:
-            self._dpp = _signless_zeros(PchipInterpolator(x, slopes, extrapolate=True))
+            self._dpp = _signless_zeros(_pchip(x, slopes))
         self.x = self._pp.x
         self._scale = (self.x.size - 1) / (self.x[-1] - self.x[0])
         # the guess is monotone in q, so it is within one interval of every
@@ -152,20 +199,13 @@ class GridFunction:
     """
 
     def __init__(self, knots, values):
-        knots = np.asarray(knots, dtype=float)
-        values = np.asarray(values, dtype=float)
-        if knots.ndim != 1 or knots.shape != values.shape or knots.size < 2:
-            raise InvalidParams("knots and values must be 1-d arrays of equal length >= 2")
-        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(values))):
-            raise InvalidParams("knots and values must be finite")
-        if np.any(np.diff(knots) <= 0):
-            raise NonMonotone("knots must be strictly increasing")
-        if np.any(np.diff(values) <= 0):
-            raise NonMonotone("values must be strictly increasing")
-        self.knots = knots
-        self.values = values
+        # the table refuses all but finite 1-d data on strictly increasing knots
         self._table = _Table(knots, values)
-        if np.any(self._table.slope(knots) <= 0):
+        self.knots = self._table.x
+        self.values = np.asarray(values, dtype=float)
+        if np.any(np.diff(self.values) <= 0):
+            raise NonMonotone("values must be strictly increasing")
+        if np.any(self._table.slope(self.knots) <= 0):
             raise NonMonotone("interpolant derivative must be positive on the knot range")
 
     @classmethod
@@ -429,7 +469,7 @@ class GridDistribution(DistributionModel):
         self.knots = knots
         self.cdf_values = np.clip(cdf_values, 0.0, 1.0)
         if pdf_values is None:
-            pdf_values = PchipInterpolator(knots, self.cdf_values).derivative()(knots)
+            pdf_values = _pchip(knots, self.cdf_values).derivative()(knots)
         else:
             pdf_values = np.asarray(pdf_values, dtype=float)
         if np.any(~np.isfinite(pdf_values)) or np.any(pdf_values[1:-1] <= 0):
@@ -437,8 +477,7 @@ class GridDistribution(DistributionModel):
         self.pdf_values = np.clip(pdf_values, 0.0, None)
         # cdf F and density f: one table, so that they share each lookup
         self._F = _Table(self.knots, self.cdf_values, self.pdf_values)
-        with np.errstate(divide="ignore", over="ignore"):
-            self._Q = _Table(self.cdf_values, self.knots)
+        self._Q = _Table(self.cdf_values, self.knots)
 
         # virtual value tabulated where the tail is numerically safe, from the
         # first knot with positive density (psi is -inf where f = 0)
@@ -468,8 +507,7 @@ class GridDistribution(DistributionModel):
         if self._regular:
             # inverse built on the strictly increasing envelope of the table
             keep = np.concatenate([[True], np.diff(np.maximum.accumulate(psi)) > 0])
-            with np.errstate(divide="ignore", over="ignore"):
-                self._psi_inv = _Table(psi[keep], xs[keep])
+            self._psi_inv = _Table(psi[keep], xs[keep])
         else:
             self._psi_inv = None
 

@@ -176,9 +176,19 @@ def first_price_bid(model: DistributionModel, k: int) -> GridFunction:
 
     beta_I(x) = E[Y1 | Y1 < x] where Y1 is the max of k-1 draws from the
     model; computed as a prefix integral of y dG(y) over G(x) = F^{k-1}(x).
+    The table is built once per (model object, k) and shared, read-only, by
+    every later call, equilibrium_shading's included; a build that raises
+    is not kept, so it raises again on the next call.
     """
     if k < 2:
         raise InvalidParams("k must be >= 2")
+    tables = model.__dict__.setdefault("_first_price_bids", {})
+    if k not in tables:
+        tables[k] = _first_price_table(model, k)
+    return tables[k]
+
+
+def _first_price_table(model: DistributionModel, k: int) -> GridFunction:
     xs = model.default_grid()
     big_g = model.cdf(xs) ** (k - 1)
     if np.any(big_g[1:] <= 0):
@@ -189,7 +199,9 @@ def first_price_bid(model: DistributionModel, k: int) -> GridFunction:
     values = np.empty_like(xs)
     values[0] = xs[0]
     values[1:] = prefix[1:] / big_g[1:]
-    return GridFunction(xs, values)
+    table = GridFunction(xs, values)
+    table.knots.flags.writeable = table.values.flags.writeable = False
+    return table
 
 
 def equilibrium_shading(model: DistributionModel, k: int) -> ShadingStrategy:

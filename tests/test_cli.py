@@ -245,6 +245,11 @@ REFUSED = {
     "grid-value-nan-knot": ("payoff-curve", {
         "mechanism": "myerson", "k_values": [2],
         "value": {"kind": "grid", "knots": [0, 0.3, float("nan"), 1], "cdf": [0, 0.2, 0.5, 1]}}),
+    "grid-value-tiny-cdf-steps": ("payoff-curve", {
+        "mechanism": "myerson", "k_values": [3],
+        "alphas": {"start": 0.5, "stop": 1.0, "count": 2},
+        "value": {"kind": "grid", "knots": [0, 0.2, 0.4, 0.6, 0.8, 1.0],
+                  "cdf": [0, 1e-300, 2e-300, 0.5, 0.9, 1.0]}}),
     "gp-bidder-missing-sigma": ("simulate", {
         "mechanism": {"kind": "myerson"}, "bidders": [{"value": GP_NO_SIGMA}] * 2,
         "seed": 1}),

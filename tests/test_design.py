@@ -4,7 +4,8 @@ A rule that differs by model family or shading strategy is a method of that
 family or strategy, so no code under src/shadecraft dispatches on a model or
 strategy class with isinstance (or issubclass). A grid-backed law is built
 only in dist.py, where the push-forward H(beta(x)) = F(x), h = f/beta' is
-written once.
+written once. Every PCHIP table is built by dist._pchip, so no module uses
+scipy's PchipInterpolator.
 """
 
 import ast
@@ -87,3 +88,26 @@ def test_only_dist_builds_grid_distributions():
 def test_scan_sees_a_construction():
     tree = ast.parse("a = GridDistribution(xs, f)\nb = dist.make_grid(xs, f)\n")
     assert sorted(name for _, name in _constructions(tree)) == ["GridDistribution", "make_grid"]
+
+
+def _pchip_uses(tree):
+    """Lines that import PchipInterpolator or reach it as an attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) \
+                and any(alias.name == "PchipInterpolator" for alias in node.names):
+            yield node.lineno
+        elif isinstance(node, ast.Attribute) and node.attr == "PchipInterpolator":
+            yield node.lineno
+
+
+def test_one_pchip_builder():
+    found = [f"{path.name}:{line}" for path in sorted(SRC.rglob("*.py"))
+             for line in _pchip_uses(ast.parse(path.read_text(), str(path)))]
+    assert not found, "PchipInterpolator used instead of dist._pchip:\n" + "\n".join(found)
+
+
+def test_scan_sees_a_pchip_use():
+    tree = ast.parse("from scipy.interpolate import PPoly, PchipInterpolator\n"
+                     "import scipy.interpolate\n"
+                     "f = scipy.interpolate.PchipInterpolator(x, y)\n")
+    assert list(_pchip_uses(tree)) == [1, 3]

@@ -270,6 +270,17 @@ class TestGridModel:
             m.inverse_virtual_value(0.1)
 
 
+@pytest.mark.parametrize("cdf, pdf, error", [
+    # the quantile table's harmonic-mean slope over two 1e-300 steps is inf
+    ([0, 1e-300, 2e-300, 0.5, 0.9, 1.0], None, InvalidParams),
+    # two values below 0 clip to the same 0: the quantile table's knots repeat
+    ([-1e-13, -5e-14, 0.3, 0.5, 0.9, 1.0], np.ones(6), NonMonotone),
+])
+def test_grid_whose_tables_cannot_be_built_is_refused(cdf, pdf, error):
+    with pytest.raises(error):
+        dist.make_grid([0, 0.2, 0.4, 0.6, 0.8, 1.0], cdf, pdf)
+
+
 class TestZeroDensityAtBottomKnot:
     """psi = x - (1 - F)/f is -inf where f = 0: the psi table starts at the
     first knot with positive density."""

@@ -91,6 +91,47 @@ class TestFirstPriceBid:
         assert np.all(b(xs) < xs)
 
 
+class TestFirstPriceTableIsShared:
+    """One first-price table per (model object, K), built once and shared
+    read-only; a build that raises is built, and raises, again."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        panel_integrals = shade._quad.panel_integrals
+        monkeypatch.setattr(shade._quad, "panel_integrals",
+                            lambda *a: calls.append(1) or panel_integrals(*a))
+        return calls
+
+    def test_equilibrium_and_first_price_share_one_table(self, uniform, builds):
+        eq = shade.equilibrium_shading(uniform, 3)
+        assert len(builds) == 2  # the first-price table and gamma
+        table = shade.first_price_bid(uniform, 3)
+        assert table is eq._target
+        assert shade.first_price_bid(uniform, 3) is table
+        assert len(builds) == 2
+        for array in (table.knots, table.values):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+
+    def test_new_model_or_k_builds_anew(self, uniform, builds):
+        table = shade.first_price_bid(uniform, 3)
+        other = shade.first_price_bid(dist.make_uniform(), 3)
+        assert other is not table and shade.first_price_bid(uniform, 4) is not table
+        assert len(builds) == 3
+        np.testing.assert_array_equal(other.values, table.values)
+
+    def test_failed_build_is_not_kept(self, builds):
+        m = dist.make_gp(0, 1, -0.2)
+        for n in (1, 2):
+            with pytest.raises(NonMonotone):
+                shade.first_price_bid(m, 3)
+            assert len(builds) == n
+        with pytest.raises(NonMonotone):
+            shade.equilibrium_shading(m, 3)
+        assert len(builds) == 3
+
+
 class TestEquilibriumShading:
     def test_uniform_k3_closed_form(self, uniform):
         eq = shade.equilibrium_shading(uniform, 3)
