@@ -159,16 +159,34 @@ class _Table:
             return self._pp(q), self._dpp(q)
         return self._eval(q, self._pp, self._dpp)
 
+    def _newton(self, y, x, lo, hi, cap):
+        x = np.clip(x, lo, hi)
+        value, slope = self.value_and_slope(x)
+        # np.clip(slope, 1e-12, None) is this maximum, behind ~3 us of Python
+        step = (value - y) / np.maximum(slope, 1e-12)
+        if cap is not None:
+            step = np.where(np.abs(step) > cap, 0.0, step)
+        return x - step, step
+
     def invert(self, y, x, lo, hi, cap=None):
-        """The q in [lo, hi] where the table is y, refined from the guess x by 3
-        Newton steps, the slope floored at 1e-12; a step longer than cap is skipped."""
-        for _ in range(3):
-            x = np.clip(x, lo, hi)
-            value, slope = self.value_and_slope(x)
-            step = (value - y) / np.clip(slope, 1e-12, None)
-            if cap is not None:
-                step = np.where(np.abs(step) > cap, 0.0, step)
-            x = x - step
+        """The q in [lo, hi] where the table is y, refined from the guess x
+        (broadcast to y's shape) by 3 Newton steps, the slope floored at 1e-12;
+        a step longer than cap is skipped. A point whose step is exactly 0 is a
+        fixed point that every later step would repeat, so after the first step
+        only the points that moved go on, and the steps end when none moves."""
+        y = np.asarray(y, dtype=float)
+        x, step = self._newton(y, x, lo, hi, cap)
+        live = step.ravel().nonzero()[0]  # np.flatnonzero, without its call overhead
+        if live.size:
+            x = np.asarray(x, order="C")
+            flat = x.reshape(-1)  # a view, in step's flat order
+            q = flat[live]
+            t = (y if y.shape == x.shape else np.broadcast_to(y, x.shape)).ravel()[live]
+            for _ in range(2):
+                q, step = self._newton(t, q, lo, hi, cap)
+                if not np.count_nonzero(step):
+                    break
+            flat[live] = q
         return np.clip(x, lo, hi)
 
 
@@ -462,12 +480,12 @@ class GridDistribution(DistributionModel):
             raise InvalidParams("knots and cdf values must be finite")
         if np.any(np.diff(knots) <= 0):
             raise NonMonotone("knots must be strictly increasing")
-        if np.any(np.diff(cdf_values) <= 0):
-            raise NonMonotone("cdf values must be strictly increasing")
         if cdf_values[0] < -1e-12 or cdf_values[-1] > 1.0 + 1e-12:
             raise InvalidParams("cdf values must lie in [0, 1]")
         self.knots = knots
         self.cdf_values = np.clip(cdf_values, 0.0, 1.0)
+        if np.any(np.diff(self.cdf_values) <= 0):
+            raise NonMonotone("cdf values must be strictly increasing")
         if pdf_values is None:
             pdf_values = _pchip(knots, self.cdf_values).derivative()(knots)
         else:
@@ -478,6 +496,8 @@ class GridDistribution(DistributionModel):
         # cdf F and density f: one table, so that they share each lookup
         self._F = _Table(self.knots, self.cdf_values, self.pdf_values)
         self._Q = _Table(self.cdf_values, self.knots)
+        if not np.isfinite(self._Q._pp.c).all():  # cdf steps so small that t/h overflows
+            raise InvalidParams("quantile table coefficients must be finite")
 
         # virtual value tabulated where the tail is numerically safe, from the
         # first knot with positive density (psi is -inf where f = 0)

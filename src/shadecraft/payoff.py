@@ -231,10 +231,18 @@ def _chunk_stats(value_models, strategies, cfg, seed, chunk_index, size):
     values = np.column_stack([m.quantile(u[:, i]) for i, m in enumerate(value_models)])
     bids = np.column_stack([s.bid(values[:, i]) for i, s in enumerate(strategies)])
     winner, payment = _outcomes(bids, cfg)
-    util = np.zeros_like(bids)
-    sale = winner >= 0
-    util[sale, winner[sale]] = values[sale, winner[sale]] - payment[sale]
-    return util.sum(axis=0), (util ** 2).sum(axis=0), payment.sum(), (payment ** 2).sum()
+    k = len(value_models)
+    if k > 1:
+        # each winner's gains summed in round order, as numpy sums the columns
+        # of the (rounds, K) utility matrix
+        sale = np.flatnonzero(winner >= 0)
+        who = winner[sale]
+        gain = values[sale, who] - payment[sale]
+        usum, usq = np.bincount(who, gain, k), np.bincount(who, gain ** 2, k)
+    else:  # a lone column numpy sums pairwise, over every round
+        util = np.where(winner >= 0, values[:, 0] - payment, 0.0)[:, None]
+        usum, usq = util.sum(axis=0), (util ** 2).sum(axis=0)
+    return usum, usq, payment.sum(), (payment ** 2).sum()
 
 
 def payoff_monte_carlo(value_models, strategies, cfg: MechanismConfig, rounds: int,

@@ -250,6 +250,11 @@ REFUSED = {
         "alphas": {"start": 0.5, "stop": 1.0, "count": 2},
         "value": {"kind": "grid", "knots": [0, 0.2, 0.4, 0.6, 0.8, 1.0],
                   "cdf": [0, 1e-300, 2e-300, 0.5, 0.9, 1.0]}}),
+    # its quantile table overflows: values drawn from it would be NaN or wrong
+    "grid-bidder-quantile-table-overflows": ("simulate", {
+        "mechanism": {"kind": "first-price"}, "rounds": 1000, "seed": 1,
+        "bidders": [{"value": {"kind": "grid", "knots": [0, 0.2, 0.4, 0.6, 0.8, 1.0],
+                               "cdf": [0, 1e-160, 2e-160, 0.5, 0.9, 1.0]}}] + BIDDERS[1:]}),
     "gp-bidder-missing-sigma": ("simulate", {
         "mechanism": {"kind": "myerson"}, "bidders": [{"value": GP_NO_SIGMA}] * 2,
         "seed": 1}),

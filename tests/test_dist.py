@@ -273,12 +273,22 @@ class TestGridModel:
 @pytest.mark.parametrize("cdf, pdf, error", [
     # the quantile table's harmonic-mean slope over two 1e-300 steps is inf
     ([0, 1e-300, 2e-300, 0.5, 0.9, 1.0], None, InvalidParams),
-    # two values below 0 clip to the same 0: the quantile table's knots repeat
+    # two values below 0 clip to the same 0: the clipped cdf repeats a value
     ([-1e-13, -5e-14, 0.3, 0.5, 0.9, 1.0], np.ones(6), NonMonotone),
+    # the quantile table's slopes are finite (~2e159) but t / h overflows, so
+    # its coefficients are inf and NaN and quantiles near 0 would be NaN
+    ([0, 1e-160, 2e-160, 0.5, 0.9, 1.0], None, InvalidParams),
 ])
 def test_grid_whose_tables_cannot_be_built_is_refused(cdf, pdf, error):
     with pytest.raises(error):
         dist.make_grid([0, 0.2, 0.4, 0.6, 0.8, 1.0], cdf, pdf)
+
+
+@pytest.mark.parametrize("pdf", [np.ones(6), None])
+def test_cdf_is_checked_for_increase_after_clipping(pdf):
+    # both values below 0 clip to 0: the refusal names the cdf, not the knots
+    with pytest.raises(NonMonotone, match="cdf values must be strictly increasing"):
+        dist.make_grid([0, 0.2, 0.4, 0.6, 0.8, 1.0], [-1e-13, -5e-14, 0.3, 0.5, 0.9, 1.0], pdf)
 
 
 class TestZeroDensityAtBottomKnot:
