@@ -394,9 +394,9 @@ class GPDistribution(DistributionModel):
         x = np.asarray(x, dtype=float)
         z = (x - p.mu) / p.sigma
         if p.xi == 0:
-            out = np.exp(-np.clip(z, 0.0, None))
+            out = np.exp(-np.maximum(z, 0.0))
         else:
-            base = np.clip(1.0 + p.xi * z, 0.0, None)
+            base = np.maximum(1.0 + p.xi * z, 0.0)
             out = base ** (-1.0 / p.xi)
         return np.where(z < 0, 1.0, out)
 
@@ -546,7 +546,7 @@ class GridDistribution(DistributionModel):
         x = np.asarray(x, dtype=float)
         inside = (x >= self.knots[0]) & (x <= self.knots[-1])
         out = np.zeros_like(x, dtype=float)
-        out[inside] = np.clip(self._F.slope(x[inside]), 0.0, None)
+        out[inside] = np.maximum(self._F.slope(x[inside]), 0.0)
         return out
 
     def quantile(self, q):
@@ -576,7 +576,7 @@ class GridDistribution(DistributionModel):
 
     def virtual_value_slope(self, x):
         """The psi table's slope, floored at 1e-12 where the table flattens."""
-        return np.clip(self._psi.slope(x), 1e-12, None)
+        return np.maximum(self._psi.slope(x), 1e-12)
 
 
 def make_gp(mu, sigma=None, xi=None) -> GPDistribution:

@@ -103,7 +103,7 @@ class CompetitionDistribution:
         repeated model object; equal but separately built models are each read."""
         t = np.asarray(t, dtype=float)
         # at t <= 0 only the atom or 0 is returned, so each law is read at t+
-        tc = np.clip(t, 0.0, None)
+        tc = np.maximum(t, 0.0)
         gamma, pdf = _law_of_max(t, lambda m: m._virtual_law(tc, density), self.models, density)
         cdf = np.where(t > 0, gamma, np.where(t < 0, 0.0, self.atom0))
         return cdf, None if pdf is None else np.where(t <= 0, 0.0, pdf)
@@ -201,7 +201,7 @@ def payoff_quadrature(d1: DistributionModel, strategy: ShadingStrategy,
         return PayoffEstimate(mean=0.0, per_bidder=(0.0,))
 
     def integrand(x):
-        hx = np.clip(h(x), 0.0, None)
+        hx = np.maximum(h(x), 0.0)
         return _surplus(z, x, hx) * d1.pdf(x)
 
     val = _quad.integrate(integrand, x0, d1.grid_upper(), breakpoints=strategy.kinks)
@@ -345,7 +345,7 @@ def _linear_integral(d1, law, kinks, virtual, alphas, slope=False):
     a = np.asarray(alphas, dtype=float)[:, None]
 
     def integrand(x):
-        p = np.clip(d1.virtual_value_clamped(x), 0.0, None)
+        p = np.maximum(d1.virtual_value_clamped(x), 0.0)
         s = p if virtual else x
         cdf, pdf = law(a * s, density=slope)
         net = x - a * p
@@ -415,7 +415,7 @@ def directional_derivative(d1, beta: GridFunction, rho, z: CompetitionDistributi
         return 0.0
 
     def integrand(x):
-        hx = np.clip(h(x), 0.0, None)
+        hx = np.maximum(h(x), 0.0)
         return _surplus(z, x, hx, direction(x)) * d1.pdf(x)
 
     total = _quad.integrate(integrand, x0, hi)
@@ -496,7 +496,7 @@ def _bsp_integral(d1, p: GPParams, z: CompetitionDistribution, row):
     s0 = max(_gp_s_at_virtual(p, 0.0), 0.0)
 
     def integrand(s):
-        psi = np.clip(_gp_virtual_of_s(p, s), 0.0, None)
+        psi = np.maximum(_gp_virtual_of_s(p, s), 0.0)
         u = np.exp(-s)
         return row(s, psi, d1.isf(u)) * u
 

@@ -131,13 +131,13 @@ class GPReparamShading(ShadingStrategy):
 
     def bid(self, x):
         u = self.base.sf(np.asarray(x, dtype=float))
-        return self._bid_dist.isf(np.clip(u, 1e-300, None))
+        return self._bid_dist.isf(np.maximum(u, 1e-300))
 
     def bid_derivative(self, x):
         p = self.params
         x = np.asarray(x, dtype=float)
         u = self.base.sf(x)
-        return p.sigma * self.base.pdf(x) * np.clip(u, 1e-300, None) ** (-p.xi - 1.0)
+        return p.sigma * self.base.pdf(x) * np.maximum(u, 1e-300) ** (-p.xi - 1.0)
 
     def virtualized_bid(self, x):
         return self._bid_dist.virtual_value_clamped(self.bid(x))

@@ -2,6 +2,9 @@
 
 The reference is the depth-first recursive engine that the level loop
 replaced: one 15-point panel per integrand call, the same acceptance rule.
+The level loop itself is pinned byte for byte against its earlier form,
+which made one integrand call for the whole segments and another for their
+halves; `integrate` now evaluates both in its first call.
 """
 
 import warnings
@@ -151,3 +154,121 @@ def test_paper_quadratures_do_not_warn():
         assert payoff.payoff_quadrature(u, shade.truthful(u), z).mean \
             == pytest.approx(11 / 192, abs=1e-9)
         payoff.bsp_payoff_gradient(u, dist.GPParams(0.0, 1 / 3, -1.0), z)
+
+
+def _two_call_panels(f, lo, hi, nodes, weights):
+    mids = 0.5 * (hi + lo)
+    halfs = 0.5 * (hi - lo)
+    pts = mids[:, None] + halfs[:, None] * nodes[None, :]
+    vals = np.asarray(f(pts.ravel()))
+    vals = vals.reshape(vals.shape[:-1] + pts.shape)
+    return halfs * (vals @ weights)
+
+
+def _two_call_integrate(f, a, b, breakpoints=(), max_panels=100000):
+    """The level loop as it was when the whole segments and their halves were
+    evaluated in two integrand calls."""
+    if not b > a:
+        return 0.0
+    pts = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b], dtype=float)
+    lo, hi = pts[:-1], pts[1:]
+    whole = _two_call_panels(f, lo, hi, _N15, _W15)
+    rough = np.abs(whole).sum(axis=-1, keepdims=True)
+    tol = np.maximum(1e-13, 1e-9 * rough) * (hi - lo) / (b - a)
+    total = 0.0
+    budget = max_panels
+    for depth in range(48, -1, -1):
+        k = lo.size
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        halves = _two_call_panels(f, lo, hi, _N15, _W15)
+        both = halves[..., :k] + halves[..., k:]
+        budget -= 2 * k
+        ok = np.abs(both - whole) <= np.maximum(tol, 4e-16 * np.abs(both))
+        done = ok.reshape(-1, k).all(axis=0)
+        if depth == 0 or budget <= 0:
+            if depth and not done.all():
+                warnings.warn(f"integral over [{a}, {b}] used up its budget of "
+                              f"{max_panels} panels", IntegrationWarning, stacklevel=2)
+            done[:] = True
+        total = total + both[..., done].sum(axis=-1)
+        if done.all():
+            break
+        keep = np.tile(~done, 2)
+        lo, hi, whole = lo[keep], hi[keep], halves[..., keep]
+        tol = np.tile(np.maximum(0.5 * tol, 1e-16 * np.abs(both))[..., ~done], 2)
+    return total if np.ndim(total) else float(total)
+
+
+def _traced(engine, f, a, b, **kwargs):
+    """engine's result, the points of each integrand call and the warnings."""
+    calls = []
+
+    def g(x):
+        calls.append(np.array(x))
+        return f(x)
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = engine(g, a, b, **kwargs)
+    return got, calls, [(w.category, str(w.message)) for w in caught]
+
+
+def _assert_same_as_two_calls(f, a, b, **kwargs):
+    got, calls, warned = _traced(_quad.integrate, f, a, b, **kwargs)
+    ref, ref_calls, ref_warned = _traced(_two_call_integrate, f, a, b, **kwargs)
+    assert type(got) is type(ref)
+    assert np.shape(got) == np.shape(ref)
+    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+    assert warned == ref_warned
+    assert len(calls) == max(len(ref_calls) - 1, 0)
+    points = np.sort(np.concatenate(calls)) if calls else np.zeros(0)
+    ref_points = np.sort(np.concatenate(ref_calls)) if ref_calls else np.zeros(0)
+    assert points.tobytes() == ref_points.tobytes()
+    return calls, ref_calls
+
+
+@st.composite
+def row_integrands(draw):
+    """(f, a, b, breakpoints): one integrand, or 2 to 5 stacked as rows, with
+    the first one's interval and kink and up to 4 further breakpoints."""
+    first = draw(integrands())
+    rest = [case[0] for case in draw(st.lists(integrands(), max_size=4))]
+    _, _, a, b, breaks = first
+    fs = [first[0]] + rest
+    f = fs[0] if len(fs) == 1 else (lambda x: np.stack([g(x) for g in fs]))
+    extra = draw(st.lists(st.floats(0.0, 1.0), max_size=4))
+    return f, a, b, tuple(breaks) + tuple(a + t * (b - a) for t in extra)
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_integrands(), st.one_of(st.just(100000), st.integers(1, 64)))
+def test_first_call_merges_segments_and_halves_bit_for_bit(case, max_panels):
+    f, a, b, breaks = case
+    _assert_same_as_two_calls(f, a, b, breakpoints=breaks, max_panels=max_panels)
+
+
+@pytest.mark.parametrize("a,b", [(1.0, 1.0), (2.0, 1.0)])
+def test_empty_interval_is_zero_without_a_call(a, b):
+    calls, ref_calls = _assert_same_as_two_calls(np.cos, a, b)
+    assert _quad.integrate(np.cos, a, b) == 0.0
+    assert calls == ref_calls == []
+
+
+@pytest.mark.parametrize("max_panels", [2, 10, 40])
+def test_exhausted_budget_warns_with_the_same_value(max_panels):
+    f = lambda x: np.sqrt(np.abs(x - 0.3))
+    _, ref_calls = _assert_same_as_two_calls(f, 0.0, 1.0, max_panels=max_panels)
+    with pytest.warns(IntegrationWarning, match=f"{max_panels} panels"):
+        _quad.integrate(f, 0.0, 1.0, max_panels=max_panels)
+    assert len(ref_calls) >= 2
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_depth_cap_gives_the_same_bytes(rows):
+    # a jump never satisfies the halving test, so refinement runs to depth 48
+    step = lambda x: np.where(x > 1 / 3, 1.0, 0.0)
+    f = step if rows == 1 else (lambda x: np.stack([step(x) * (j + 1) for j in range(rows)]))
+    calls, ref_calls = _assert_same_as_two_calls(f, 0.0, 1.0, breakpoints=(0.75,))
+    assert len(ref_calls) == 50
+    assert len(calls) == 49
