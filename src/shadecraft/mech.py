@@ -2,9 +2,12 @@
 
 The vectorized kernel _scored_outcomes is the only implementation of the six
 allocation and payment rules. Monte Carlo runs it on whole chunks of rounds;
-each run_* is a one-row view of it that adds input validation. Ties in
-(virtualized) bids go to the lowest bidder index, a bid equal to its reserve
-counts as clearing, and with no sale the payment is 0.
+each run_* is a one-row view of it that adds input validation. Every rule
+gives the item to the highest score (a virtualized, boosted or reserve-masked
+bid) and prices it from the second highest; _rank finds both with one
+in-place pass per bidder column. Ties in (virtualized) bids go to the lowest
+bidder index, a bid equal to its reserve counts as clearing, and with no sale
+the payment is 0. A NaN bid is refused with InvalidParams, for every kind.
 """
 
 from dataclasses import dataclass
@@ -59,60 +62,74 @@ class AuctionOutcome:
         return {"winner": self.winner, "payment": self.payment}
 
 
-def _second_highest(w):
-    if w.shape[1] == 1:
-        return np.full(w.shape[0], -np.inf)
-    return np.partition(w, -2, axis=1)[:, -2]
+def _rank(cols):
+    """Per round over K score columns: (winner, best, second), the lowest
+    index holding the highest score, that score, and the highest score of the
+    other columns (-inf for K = 1). One in-place pass per column after the
+    first; a score that only ties the best does not displace it."""
+    best = np.array(cols[0])
+    winner = np.zeros(best.shape, dtype=np.intp)
+    second = np.full(best.shape, -np.inf)
+    for i in range(1, len(cols)):
+        c = cols[i]
+        better = c > best
+        np.maximum(second, c, out=second)
+        np.copyto(second, best, where=better)
+        np.copyto(best, c, where=better)
+        np.copyto(winner, i, where=better)
+    return winner, best, second
 
 
 def _scored_outcomes(bids, cfg: MechanismConfig):
-    """Vectorized per-round winner (-1 for no sale), payment, and the score
-    matrix the allocation maximizes (virtualized bids for myerson, boosted
-    margins for boosted second price, None for the other kinds)."""
+    """Vectorized per-round winner (-1 for no sale), payment, and the scores
+    the allocation maximizes, one row per bidder (virtualized bids for
+    myerson, boosted margins for boosted second price, None for the other
+    kinds). InvalidParams if any bid is NaN."""
+    if np.isnan(bids).any():
+        raise InvalidParams("bids must not be NaN")
     n, k = bids.shape
-    rows = np.arange(n)
+    cols = [bids[:, i] for i in range(k)]
     kind = cfg.kind
     w = None
 
     if kind == "myerson":
-        w = np.column_stack([m.virtual_value_clamped(bids[:, i])
-                             for i, m in enumerate(cfg.bid_models)])
-        winner = np.argmax(w, axis=1)
-        sale = w[rows, winner] >= 0
-        threshold = np.maximum(0.0, _second_highest(w))
-        payment = np.zeros(n)
+        w = np.empty((k, n))
         for i, m in enumerate(cfg.bid_models):
-            sel = sale & (winner == i)
-            if np.any(sel):
-                payment[sel] = m._inverse_virtual_clamped(threshold[sel])
+            w[i] = m.virtual_value_clamped(cols[i])
+        winner, best, payment = _rank(w)
+        sale = best >= 0
+        del best  # freed before the payments, where a chunk's memory peaks
+        # the score to beat, then the winner's bid whose virtual value it is
+        np.maximum(0.0, payment, out=payment)
+        for i, m in enumerate(cfg.bid_models):
+            sel = np.flatnonzero(sale & (winner == i))
+            if sel.size:
+                payment[sel] = m._inverse_virtual_clamped(payment[sel])
     elif kind == "boosted-second-price":
         s = np.asarray(cfg.boosts)
         r = np.asarray(cfg.reserves)
-        w = s[None, :] * (bids - r[None, :])
-        winner = np.argmax(w, axis=1)
-        sale = w[rows, winner] >= 0
-        payment = r[winner] + np.maximum(0.0, _second_highest(w)) / s[winner]
+        w = np.array([s[i] * (c - r[i]) for i, c in enumerate(cols)])
+        winner, best, second = _rank(w)
+        sale = best >= 0
+        payment = r[winner] + np.maximum(0.0, second) / s[winner]
     elif kind == "vcg-lazy":
         r = np.asarray(cfg.reserves)
-        winner = np.argmax(bids, axis=1)
-        sale = bids[rows, winner] >= r[winner]
-        payment = np.maximum(r[winner], _second_highest(bids))
+        winner, best, second = _rank(cols)
+        sale = best >= r[winner]
+        payment = np.maximum(r[winner], second)
     elif kind == "vcg-eager":
         r = np.asarray(cfg.reserves)
-        clears = bids >= r[None, :]
-        masked = np.where(clears, bids, -np.inf)
-        winner = np.argmax(masked, axis=1)
-        sale = clears.any(axis=1)
-        payment = np.maximum(r[winner], _second_highest(masked))
+        winner, best, second = _rank([np.where(c >= ri, c, -np.inf) for c, ri in zip(cols, r)])
+        sale = best > -np.inf
+        payment = np.maximum(r[winner], second)
     elif kind == "first-price":
-        winner = np.argmax(bids, axis=1)
+        winner, payment, _ = _rank(cols)
         sale = np.ones(n, dtype=bool)
-        payment = bids[rows, winner]
     elif kind == "second-price":
         reserve = cfg.reserves[0] if cfg.reserves else 0.0
-        winner = np.argmax(bids, axis=1)
-        sale = bids[rows, winner] >= reserve
-        payment = np.maximum(reserve, _second_highest(bids))
+        winner, best, second = _rank(cols)
+        sale = best >= reserve
+        payment = np.maximum(reserve, second)
     else:
         raise InvalidParams(f"unsupported mechanism kind: {kind!r}")
 
@@ -142,7 +159,7 @@ def _run_row(bids, cfg: MechanismConfig) -> AuctionOutcome:
     _check_config(cfg, row.shape[1])
     winner, payment, w = _scored_outcomes(row, cfg)
     return AuctionOutcome(None if winner[0] < 0 else int(winner[0]), float(payment[0]),
-                          None if w is None else tuple(float(v) for v in w[0]))
+                          None if w is None else tuple(float(c[0]) for c in w))
 
 
 def run_myerson(bids, cfg: MechanismConfig) -> AuctionOutcome:

@@ -229,8 +229,10 @@ def _chunk_stats(value_models, strategies, cfg, seed, chunk_index, size):
     rng = np.random.Generator(np.random.Philox(key=key))
     u = rng.random((size, len(value_models)))
     values = np.column_stack([m.quantile(u[:, i]) for i, m in enumerate(value_models)])
+    del u
     bids = np.column_stack([s.bid(values[:, i]) for i, s in enumerate(strategies)])
     winner, payment = _outcomes(bids, cfg)
+    del bids
     k = len(value_models)
     if k > 1:
         # each winner's gains summed in round order, as numpy sums the columns

@@ -8,6 +8,8 @@ make no sale, with K = 1, and through `payoff_monte_carlo` over several
 chunks with one and two workers.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -103,3 +105,19 @@ def test_monte_carlo_is_byte_equal_to_the_dense_matrix(monkeypatch, workers):
     monkeypatch.setattr(payoff, "_chunk_stats", dense_chunk_stats)
     assert estimate_bytes(got) == estimate_bytes(run())
     assert got.rounds == rounds
+
+
+def test_chunk_allocation_peak():
+    # one 65,536-round chunk of three K=3 uniform equilibrium bidders under
+    # the Myerson fit; the argmax and partition ranking peaked at 10.28 MB
+    models = [dist.make_uniform() for _ in range(3)]
+    strategies = [shade.equilibrium_shading(m, 3) for m in models]
+    cfg = mech.fit_mechanism("myerson", [s.bid_distribution() for s in strategies])
+    payoff._chunk_stats(models, strategies, cfg, 1, 0, 1 << 16)  # lazy tables built
+    tracemalloc.start()
+    try:
+        payoff._chunk_stats(models, strategies, cfg, 1, 0, 1 << 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9.81e6

@@ -140,6 +140,55 @@ def test_myerson_outside_support_rejected():
         mech.run_myerson([0.5, 1.5], cfg)
 
 
+TWO_BIDDERS = {
+    "myerson": mech.MechanismConfig("myerson", bid_models=(dist.make_uniform(),) * 2),
+    "vcg-lazy": mech.MechanismConfig("vcg-lazy", reserves=(0.0, 0.0)),
+    "vcg-eager": mech.MechanismConfig("vcg-eager", reserves=(0.0, 0.0)),
+    "boosted-second-price": mech.MechanismConfig("boosted-second-price", reserves=(0.0, 0.0),
+                                                 boosts=(1.0, 1.0)),
+    "first-price": mech.MechanismConfig("first-price"),
+    "second-price": mech.MechanismConfig("second-price", reserves=(0.0,)),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("bids", [[0.5, np.nan], [np.nan, 0.5]])
+def test_nan_bids_rejected(kind, bids):
+    # NaN compares false with every score, so no ranking of it is sound;
+    # myerson's support check lets it through to the kernel
+    cfg = TWO_BIDDERS[kind]
+    with pytest.raises(InvalidParams):
+        run_scalar(bids, cfg)
+    with pytest.raises(InvalidParams):
+        payoff._outcomes(np.array([[0.5, 0.25], bids]), cfg)
+
+
+SCORES = (-np.inf, -1.0, -0.0, 0.0, 0.5, 1.0, np.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.lists(st.sampled_from(SCORES), min_size=k, max_size=k), min_size=1, max_size=30)))
+def test_rank_matches_argmax_and_partition(rows):
+    """`mech._rank` against the row-wise formulas it replaced, on (rounds, K)
+    columns and on the rows of a (K, rounds) array. The second-highest score
+    is compared by bytes except where it is zero: np.partition's pick between
+    +0.0 and -0.0, which compare equal, follows its swap order."""
+    w = np.array(rows)
+    k = w.shape[1]
+    winner = np.argmax(w, axis=1)
+    best = w[np.arange(len(w)), winner]
+    second = np.partition(w, -2, axis=1)[:, -2] if k > 1 else np.full(len(w), -np.inf)
+    for cols in ([w[:, i] for i in range(k)], np.ascontiguousarray(w.T)):
+        got_winner, got_best, got_second = mech._rank(cols)
+        assert got_winner.dtype == winner.dtype
+        assert got_winner.tobytes() == winner.tobytes()
+        assert got_best.tobytes() == best.tobytes()
+        assert np.array_equal(got_second, second)
+        nonzero = second != 0
+        assert got_second[nonzero].tobytes() == second[nonzero].tobytes()
+
+
 # ----------------------------------------------------------------------
 # Monte Carlo through the kernel branches the README configs never run
 # ----------------------------------------------------------------------
