@@ -134,9 +134,10 @@ def cmd_equilibrium_demo(cfg):
     mc_eq = payoff.payoff_monte_carlo([d1] * k, [eq] * k, cfg_eq, rounds, seed,
                                       workers=workers)
 
+    # the ODE residual of the strategy's own bid and exact bid derivative
     xs = np.linspace(d1.support[0], d1.grid_upper(), 400)
+    ode_resid = shade.virtualize(d1, eq.bid, eq.bid_derivative, xs) - beta_i(xs)
     gamma = eq.as_grid_function()
-    ode_resid = shade.virtualize(d1, gamma, gamma.derivative, xs) - beta_i(xs)
     dd_max = max(abs(payoff.directional_derivative(
         d1, gamma, dist.GridFunction.from_callable(f, 0.0, d1.grid_upper(), 512), z_eq))
         for f in _DD_DIRECTIONS)

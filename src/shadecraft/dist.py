@@ -7,7 +7,8 @@ Both expose the same surface: cdf, sf, pdf, quantile, isf, mean, virtual
 value, inverse virtual value, hazard rate and sampling. A family supplies
 psi and its inverse clamped into `psi_domain`, and psi's slope;
 `DistributionModel` derives `virtual_range`, the checked pair and
-`_virtual_law`, the law of psi(X), once.
+`_virtual_law`, the law of psi(X), once. `law_key` tells equal laws apart
+from different ones, so that `_each_distinct` reads each law once.
 """
 
 import functools
@@ -286,6 +287,12 @@ class DistributionModel:
         """psi'(x), positive on a regular model."""
         raise NotImplementedError
 
+    @property
+    def law_key(self):
+        """Equal between two models only if they give the same numbers: by
+        default the model itself, which matches only itself."""
+        return self
+
     @functools.cached_property
     def psi_domain(self):
         """(lo, hi), the values where psi is evaluated: the support by default."""
@@ -367,6 +374,18 @@ class DistributionModel:
         _check_within(x, self.support, tol, "point outside support")
 
 
+def _each_distinct(fn, items):
+    """[fn(i) for i in items], calling fn once per distinct law (matched by
+    law_key): k-1 i.i.d. competitors, passed as one repeated model or as equal
+    GP models built apart, cost one call."""
+    keys = [i.law_key for i in items]
+    out = {}
+    for key, i in zip(keys, items):
+        if key not in out:
+            out[key] = fn(i)
+    return [out[key] for key in keys]
+
+
 def _check_within(v, bounds, tol, what):
     """OutOfSupport if any of v is outside (lo, hi) by over tol * span (1 if hi is inf)."""
     lo, hi = bounds
@@ -382,6 +401,13 @@ class GPDistribution(DistributionModel):
 
     def __init__(self, params: GPParams):
         self.params = params
+
+    @functools.cached_property
+    def law_key(self):
+        """The bits of (mu, sigma, xi): equal parameters give equal numbers,
+        and -0.0 and 0.0 stay apart."""
+        p = self.params
+        return np.array([p.mu, p.sigma, p.xi], dtype=float).tobytes()
 
     @property
     def support(self):

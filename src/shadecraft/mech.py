@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .dist import DistributionModel, GPParams
+from .dist import DistributionModel, GPParams, _each_distinct
 from .errors import FitFailure, InvalidParams, NonRegular
 
 _FIT_NODES = (np.arange(64) + 0.5) / 64  # probability nodes for quantile least squares
@@ -253,13 +253,10 @@ def fit_gp_quantile(model: DistributionModel):
 
 def fit_bsp(bid_models):
     """Per-bidder GP quantile fit; returns (boosts, reserves) with
-    s_i = 1 - xi_i and r_i = sigma_i / (1 - xi_i)."""
-    boosts, reserves = [], []
-    for m in bid_models:
-        params, _ = fit_gp_quantile(m)
-        boosts.append(1.0 - params.xi)
-        reserves.append(params.sigma / (1.0 - params.xi))
-    return tuple(boosts), tuple(reserves)
+    s_i = 1 - xi_i and r_i = sigma_i / (1 - xi_i). Bidders with one law_key (one
+    repeated model, or equal GP models built apart) share one fit."""
+    fits = _each_distinct(lambda m: fit_gp_quantile(m)[0], bid_models)
+    return tuple(1.0 - p.xi for p in fits), tuple(p.sigma / (1.0 - p.xi) for p in fits)
 
 
 def fit_mechanism(kind: str, bid_models, reserve: float | None = None) -> MechanismConfig:

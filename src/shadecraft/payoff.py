@@ -32,23 +32,13 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import _quad
-from .dist import DistributionModel, GPDistribution, GPParams, GridFunction
+from .dist import DistributionModel, GPDistribution, GPParams, GridFunction, _each_distinct
 from .errors import InvalidParams, NonMonotone, NonRegular, OutOfSupport
 from .mech import MechanismConfig, _check_config, _outcomes
 from .shade import ShadingStrategy, _alpha, virtualize
 
 _CHUNK = 1 << 16  # Monte Carlo rounds per counter-keyed chunk
 _EPS4 = 4 * np.finfo(float).eps  # brentq's smallest relative tolerance
-
-
-def _each_distinct(fn, items):
-    """[fn(i) for i in items], calling fn once per distinct object (matched by
-    identity): k-1 i.i.d. competitors passed as one repeated model cost one call."""
-    out = {}
-    for i in items:
-        if id(i) not in out:
-            out[id(i)] = fn(i)
-    return [out[id(i)] for i in items]
 
 
 def _law_of_max(t, law, competitors, density=False):
@@ -99,8 +89,9 @@ class CompetitionDistribution:
     def law(self, t, density=False):
         """(cdf(t), pdf(t) if density else None) from one evaluation of each
         distinct competitor's virtualized-bid law, whose cdf the density's product
-        rule reuses. Competitors are matched by identity: pass i.i.d. rivals as one
-        repeated model object; equal but separately built models are each read."""
+        rule reuses. Competitors are matched by law_key: a repeated model object,
+        or equal GP models built apart, are read once; equal grid models built
+        apart are each read."""
         t = np.asarray(t, dtype=float)
         # at t <= 0 only the atom or 0 is returned, so each law is read at t+
         tc = np.maximum(t, 0.0)
@@ -320,22 +311,23 @@ def _linear_competition(competitor_models, kind):
     if kind not in ("vcg-lazy", "vcg-eager"):
         raise InvalidParams(f"unsupported mechanism kind for linear curves: {kind!r}")
     eager = kind == "vcg-eager"
+    models = tuple(competitor_models)
 
     def competitor(m):
         r = m.monopoly_price() if eager else -np.inf
-        return m, r, m.cdf(r) if eager else 0.0
+        return r, m.cdf(r) if eager else 0.0
 
-    # (model, reserve, floor); a repeated model gives one repeated tuple
-    comps = _each_distinct(competitor, competitor_models)
+    # (reserve, floor) by law key, found once per distinct law
+    comps = dict(zip([m.law_key for m in models], _each_distinct(competitor, models)))
 
     def law(t, density=False):
-        def one(c):
-            m, r, floor = c
+        def one(m):
+            r, floor = comps[m.law_key]
             return np.maximum(floor, m.cdf(t)), np.where(t > r, m.pdf(t), 0.0) if density else None
 
-        return _law_of_max(t, one, comps, density)
+        return _law_of_max(t, one, models, density)
 
-    return law, [r for _, r, _ in comps] if eager else (), False
+    return law, [comps[m.law_key][0] for m in models] if eager else (), False
 
 
 def _linear_integral(d1, law, kinks, virtual, alphas, slope=False):
@@ -464,14 +456,18 @@ def _gp_s_at_virtual(p: GPParams, t):
     return float((np.log1p(a) - np.log1p(-p.xi)) / p.xi)
 
 
-def _one_minus_exp_with_slope(w):
-    """1 - e^w (1 - w) for w <= 0: its Taylor series (~ w^2/2) for |w| < 1e-3,
-    else -expm1(w) + w e^w, whose terms cancel by at most a factor ~2/|w|."""
+def _one_minus_exp_with_slope(w, exp_w=None, expm1_w=None):
+    """1 - e^w (1 - w) for w <= 0: -expm1(w) + w e^w, whose terms cancel by at
+    most a factor ~2/|w|, but its Taylor series (~ w^2/2) where |w| < 1e-3.
+    The caller may pass e^w and expm1(w) when it has them."""
     w = np.asarray(w, dtype=float)
+    exp_w = np.exp(w) if exp_w is None else exp_w
+    expm1_w = np.expm1(w) if expm1_w is None else expm1_w
+    out = np.asarray(-expm1_w + w * exp_w)  # an array for 0-d w too, to write into
     small = np.abs(w) < 1e-3
-    ws = np.where(small, w, 0.0)
-    series = ws ** 2 / 2 + ws ** 3 / 3 + ws ** 4 / 8 + ws ** 5 / 30 + ws ** 6 / 144
-    return np.where(small, series, -np.expm1(w) + w * np.exp(w))
+    ws = w[small]
+    out[small] = ws ** 2 / 2 + ws ** 3 / 3 + ws ** 4 / 8 + ws ** 5 / 30 + ws ** 6 / 144
+    return out
 
 
 def _grad_psi_of_s(p: GPParams, s):
@@ -480,11 +476,12 @@ def _grad_psi_of_s(p: GPParams, s):
         raise InvalidParams("gradient requires xi < 0")
     s = np.asarray(s, dtype=float)
     w = p.xi * s
+    exp_w, expm1_w = np.exp(w), np.expm1(w)
     g_mu = np.ones_like(s)
-    g_sigma = np.expm1(w) / p.xi - np.exp(w)
+    g_sigma = expm1_w / p.xi - exp_w
     # sigma/xi^2 [1 - e^w + (1 - xi) w e^w] = sigma/xi^2 [(1 - e^w(1-w)) - xi w e^w]
-    g_xi = (p.sigma / p.xi ** 2) * (_one_minus_exp_with_slope(w)
-                                    - p.xi * w * np.exp(w))
+    g_xi = (p.sigma / p.xi ** 2) * (_one_minus_exp_with_slope(w, exp_w, expm1_w)
+                                    - p.xi * w * exp_w)
     return np.stack([g_mu, g_sigma, g_xi])
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from shadecraft import cli
+from shadecraft import cli, dist, shade
 
 
 def write_config(tmp_path, name, payload):
@@ -86,6 +86,23 @@ class TestEquilibriumDemo:
         assert abs(report["seller_revenue_equilibrium"] - 0.5) \
             < 3 * report["seller_revenue_equilibrium_se"]
         assert report["metadata"] == {"seed": 5, "version": "0.1.0"}
+
+    def test_ode_residual_uses_the_exact_bid_derivative(self, tmp_path, monkeypatch):
+        # at the K=3 equilibrium of GP(0.2, 1, -0.5) the PCHIP slope of the bid
+        # table misses the ODE by ~5e-8; the strategy's own bid derivative is exact
+        monkeypatch.setattr(cli.payoff, "directional_derivative", lambda *a: 0.0)  # ~1 s each
+        out = tmp_path / "eq.json"
+        cfg = write_config(tmp_path, "c.json", {
+            "k": 3, "rounds": 1000, "seed": 1, "out": str(out),
+            "value": {"kind": "gp", "mu": 0.2, "sigma": 1, "xi": -0.5}})
+        assert cli.main(["equilibrium-demo", cfg]) == 0
+        assert json.loads(out.read_text())["max_ode_residual"] < 1e-12
+        d1 = dist.make_gp(0.2, 1.0, -0.5)
+        gamma = shade.equilibrium_shading(d1, 3).as_grid_function()
+        xs = np.linspace(0.2, d1.grid_upper(), 400)
+        table_route = shade.virtualize(d1, gamma, gamma.derivative, xs) \
+            - shade.first_price_bid(d1, 3)(xs)
+        assert np.abs(table_route).max() >= 1e-9
 
     def test_missing_seed_exits_2(self, tmp_path):
         out = tmp_path / "eq.json"

@@ -162,8 +162,27 @@ class TestDistinctCompetitors:
         a, b, _ = models = _repeated_pair()
         assert self._law_reads(reads, models, density) == [a, b]
 
-    def test_equal_models_built_apart_are_each_read(self, reads):
-        assert len(self._law_reads(reads, uniforms(3), True)) == 3
+    @pytest.mark.parametrize("density", [False, True])
+    def test_equal_gp_models_built_apart_are_read_once(self, reads, density):
+        models = uniforms(3)
+        assert self._law_reads(reads, models, density) == models[:1]
+
+    def test_equal_gp_models_built_apart_are_fitted_once(self, monkeypatch):
+        fits = []
+        fit = mech.fit_gp_quantile
+        monkeypatch.setattr(mech, "fit_gp_quantile", lambda m: fits.append(m) or fit(m))
+        models = uniforms(3) + [dist.make_gp(0.1, 0.7, -0.4)]
+        mech.fit_bsp(models)
+        assert fits == [models[0], models[3]]
+
+    def test_equal_grid_models_built_apart_are_each_read(self, reads):
+        models = [_square_law_grid() for _ in range(3)]
+        assert self._law_reads(reads, models, True) == models
+
+    def test_signed_zeros_are_different_laws(self, reads):
+        models = [dist.make_gp(-0.0, 1.0, -1.0), dist.make_gp(0.0, 1.0, -1.0)]
+        assert self._law_reads(reads, models, True) == models
+        assert models[0].law_key != models[1].law_key
 
     def test_atom_reads_a_repeated_model_once(self, reads):
         b = dist.make_gp(0.1, 0.7, -0.4)
@@ -213,6 +232,31 @@ class TestDistinctCompetitors:
             if rivals is copies:
                 assert got == want
             want = got
+
+
+# xi in (-1, -0.5) or below -1 leaves f_Z a power-law cusp at the top that
+# exhausts the BSP gradient's panel budget, so those shapes are not drawn;
+# mu >= 0, as fit_bsp's GP(0, sigma, xi) quantile fit needs
+@settings(max_examples=25, deadline=None)
+@given(st.floats(0.0, 0.5), st.floats(0.1, 2.0),
+       st.one_of(st.floats(-0.5, -0.05), st.just(-1.0)), st.integers(2, 4))
+def test_equal_gp_models_built_apart_give_the_same_bytes(mu, sigma, xi, k):
+    # k equal GP laws built apart, merged by law key, against one model repeated
+    t = np.concatenate([np.linspace(-0.5, mu - sigma / xi + 0.5, 40), [0.0]])
+    value, p = dist.make_uniform(), dist.GPParams(0.1, 0.5, -0.5)
+    alphas = [0.3, 0.8, 1.0]
+
+    def numbers(models):
+        z = payoff.competition_distribution(models)
+        out = [*z.law(t, density=True), z.cdf(t), z.pdf(t), [z.atom0],
+               [payoff.bsp_payoff(value, p, z)], payoff.bsp_payoff_gradient(value, p, z),
+               *mech.fit_bsp(models)]
+        for kind in ("vcg-lazy", "vcg-eager"):
+            out += [v for _, v in payoff.linear_payoff_curve(value, models, kind, alphas)]
+        return np.concatenate([np.ravel(v) for v in out]).tobytes()
+
+    built_apart = [dist.make_gp(mu, sigma, xi) for _ in range(k)]
+    assert numbers(built_apart) == numbers([dist.make_gp(mu, sigma, xi)] * k)
 
 
 class TestGPCompetitionRatio:
@@ -760,6 +804,57 @@ def test_one_minus_exp_with_slope_to_fifty_digits():
             d = Decimal(float(w))
             ref = 1 - d.exp() * (1 - d)
             assert abs((Decimal(float(g)) - ref) / ref) <= Decimal("1e-12"), w
+
+
+# references: the masked-series form, which evaluated the Taylor series on
+# every point and dropped it where |w| >= 1e-3, and the gradient rows that
+# took exp(w) three times and expm1(w) twice
+def _ref_one_minus_exp_with_slope(w):
+    w = np.asarray(w, dtype=float)
+    small = np.abs(w) < 1e-3
+    ws = np.where(small, w, 0.0)
+    series = ws ** 2 / 2 + ws ** 3 / 3 + ws ** 4 / 8 + ws ** 5 / 30 + ws ** 6 / 144
+    return np.where(small, series, -np.expm1(w) + w * np.exp(w))
+
+
+def _ref_grad_psi_of_s(p, s):
+    s = np.asarray(s, dtype=float)
+    w = p.xi * s
+    g_sigma = np.expm1(w) / p.xi - np.exp(w)
+    g_xi = (p.sigma / p.xi ** 2) * (_ref_one_minus_exp_with_slope(w) - p.xi * w * np.exp(w))
+    return np.stack([np.ones_like(s), g_sigma, g_xi])
+
+
+_SMALL_W = st.one_of(st.floats(-1e-3, 1e-3, exclude_min=True, exclude_max=True),
+                     st.sampled_from([0.0, -0.0, -np.nextafter(1e-3, 0.0), -1e-3]))
+_LARGE_W = st.floats(-740.0, -1e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(
+    st.lists(st.one_of(_SMALL_W, _LARGE_W), max_size=50),  # mixed, or empty
+    st.lists(_SMALL_W, min_size=1, max_size=50),
+    st.lists(_LARGE_W, min_size=1, max_size=50),
+    st.builds(np.float64, st.one_of(_SMALL_W, _LARGE_W))))  # 0-d
+def test_one_minus_exp_with_slope_is_byte_equal_to_the_reference(ws):
+    w = np.asarray(ws, dtype=float)
+    want = _ref_one_minus_exp_with_slope(w)
+    for got in (payoff._one_minus_exp_with_slope(w),
+                payoff._one_minus_exp_with_slope(w, np.exp(w), np.expm1(w))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-0.5, 0.5), st.floats(0.01, 3.0), st.floats(-20.0, -1e-6),
+       st.one_of(st.lists(st.floats(0.0, 700.0), max_size=40),
+                 st.floats(0.0, 700.0).map(lambda s: [s]),  # the point-mass [s0] call
+                 st.floats(0.0, 700.0).map(np.float64),  # 0-d
+                 st.sampled_from([[0.0], [-0.0], [0.0, -0.0], 0.0, -0.0])))
+def test_grad_psi_of_s_is_byte_equal_to_the_reference(mu, sigma, xi, s):
+    p = dist.GPParams(mu, sigma, xi)
+    want = _ref_grad_psi_of_s(p, s)
+    got = payoff._grad_psi_of_s(p, s)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestSerialization:

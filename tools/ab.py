@@ -12,8 +12,11 @@ wall and CPU time of a pass. Both sides of a pair use the same seed.
 The report gives each side's median wall and CPU time, the paired ratio
 change/parent of wall time (median and quartiles), the number of pairs the
 change won (ratio below 1), failed operations per side, and whether the
-workload's `tools/fingerprint.py` hash is equal on both sides. The last line
-of standard output is one JSON object with the same numbers.
+workload's `tools/fingerprint.py` hash is equal on both sides. It also gives
+each side's traced work counts (every metric in unit "count" of one
+`perfbench/run.py --trace 1` run at seed 1, in a fresh process per side) and
+prints each count that differs. The last line of standard output is one JSON
+object with the same numbers.
 """
 
 import argparse
@@ -74,6 +77,18 @@ def run_side(root, workload, seed, passes):
     return json.loads(out.stdout.splitlines()[-1])
 
 
+def traced_counts(root, workload):
+    """{metric: value} for every count of one traced benchmark run of the checkout."""
+    out = subprocess.run(
+        [sys.executable, str(Path(root).resolve() / "perfbench" / "run.py"), "--workload",
+         workload, "--seed", "1", "--seconds", "1", "--trace", "1"],
+        capture_output=True, text=True)
+    if out.returncode:
+        raise SystemExit(f"traced run of {root} failed:\n{out.stderr}")
+    metrics = json.loads(out.stdout.splitlines()[-1])["metrics"]
+    return {name: m["value"] for name, m in metrics.items() if m["unit"] == "count"}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", nargs="?")
@@ -116,6 +131,12 @@ def main(argv=None):
     report["change_wins"] = sum(r < 1 for r in ratios)
     prints = {r["fingerprint"] for rs in runs.values() for r in rs}
     report["fingerprints_equal"] = len(prints) == 1
+    counts = {name: traced_counts(args.parent if name == "parent" else args.change,
+                                  args.workload) for name in runs}
+    report["counts"] = counts
+    report["counts_differ"] = {k: [counts["parent"].get(k), counts["change"].get(k)]
+                               for k in sorted(counts["parent"].keys() | counts["change"].keys())
+                               if counts["parent"].get(k) != counts["change"].get(k)}
 
     for name in runs:
         r = report[name]
@@ -124,6 +145,10 @@ def main(argv=None):
     print(f"ratio change/parent: median {med:.3f} [q1-q3 {q1:.3f}-{q3:.3f}], "
           f"change faster in {report['change_wins']} of {args.pairs} pairs")
     print(f"fingerprints equal: {report['fingerprints_equal']}")
+    for k, (p, c) in report["counts_differ"].items():
+        print(f"traced count {k}: parent {p}, change {c}")
+    print(f"traced counts that differ: {len(report['counts_differ'])} "
+          f"of {len(counts['parent'])}")
     print(json.dumps(report))
 
 
