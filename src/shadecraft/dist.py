@@ -362,9 +362,10 @@ class DistributionModel:
         return np.unique(np.concatenate([xs, extra])) if extra.size else xs
 
     def scaled(self, alpha):
-        """Law of alpha X for alpha > 0, tabulated on default_grid."""
-        xs = self.default_grid()
-        return transform_distribution(self, GridFunction(xs, alpha * xs))
+        """Law of alpha X for alpha > 0, the exact push-forward on default_grid:
+        knots alpha x, density f(x)/alpha."""
+        return push_forward(self, lambda x: alpha * x, lambda x: np.full_like(x, alpha),
+                            self.default_grid())
 
     def tail_mean(self, x):
         """E[X | X >= x], by quadrature."""
@@ -605,10 +606,9 @@ class GridDistribution(DistributionModel):
         return np.maximum(self._psi.slope(x), 1e-12)
 
 
-def make_gp(mu, sigma=None, xi=None) -> GPDistribution:
-    """Build a generalized Pareto model from (mu, sigma, xi) or a GPParams."""
-    params = mu if isinstance(mu, GPParams) else GPParams(float(mu), float(sigma), float(xi))
-    return GPDistribution(params)
+def make_gp(mu, sigma, xi) -> GPDistribution:
+    """Build a generalized Pareto model from (mu, sigma, xi)."""
+    return GPDistribution(GPParams(float(mu), float(sigma), float(xi)))
 
 
 def make_uniform() -> GPDistribution:
@@ -718,7 +718,7 @@ def model_from_config(cfg: dict) -> DistributionModel:
     """Parse {"kind": "gp", ...} or {"kind": "grid", ...} JSON config."""
     kind = cfg.get("kind")
     if kind == "gp":
-        return make_gp(_gp_params(cfg))
+        return GPDistribution(_gp_params(cfg))
     if kind == "grid":
         return make_grid(_field(cfg, "knots", [float]), _field(cfg, "cdf", [float]),
                          _field(cfg, "pdf", [float]) if "pdf" in cfg else None)

@@ -68,18 +68,15 @@ class CompetitionDistribution:
 
     cdf(t) is 0 for t < 0 and the product of per-competitor virtualized-bid
     cdfs for t >= 0; the jump at 0 has mass atom0 = prod F_{B_i}(r*_i).
-    atom0 can be overridden (see with_atom0) as a regression guard on the
-    point-mass code paths; the continuous part above the jump is unchanged.
     """
 
-    def __init__(self, bid_models, atom0=None):
+    def __init__(self, bid_models):
         for m in bid_models:
             if not m.is_regular:
                 raise NonRegular("competition requires regular bid distributions")
         self.models = tuple(bid_models)
         zero = np.zeros(1)
-        self._jump = float(_law_of_max(zero, lambda m: m._virtual_law(zero), self.models)[0][0])
-        self.atom0 = self._jump if atom0 is None else float(atom0)
+        self.atom0 = float(_law_of_max(zero, lambda m: m._virtual_law(zero), self.models)[0][0])
 
     @cached_property
     def tops(self):
@@ -104,9 +101,6 @@ class CompetitionDistribution:
 
     def pdf(self, t):
         return self.law(t, density=True)[1]
-
-    def with_atom0(self, value):
-        return CompetitionDistribution(self.models, atom0=value)
 
 
 def competition_distribution(bid_models) -> CompetitionDistribution:
@@ -375,35 +369,28 @@ def payoff_derivative_alpha(d1, competitor_models, at_alpha, kind="myerson"):
 # Functional directional derivative
 # ----------------------------------------------------------------------
 
-def _as_fn_pair(rho):
-    if isinstance(rho, GridFunction):
-        return rho.__call__, rho.derivative
-    if isinstance(rho, tuple) and len(rho) == 2:
-        return rho
-    raise InvalidParams("rho must be a GridFunction or a (fn, derivative) pair")
-
-
-def directional_derivative(d1, beta: GridFunction, rho, z: CompetitionDistribution):
+def directional_derivative(d1, beta, rho, z: CompetitionDistribution):
     """Directional derivative of the Myerson payoff at shading beta along rho.
 
+    beta, increasing, and rho are functions of value with a `.derivative`
+    method, such as GridFunction.
     Expectation term: E[D(x) {(x - h) f_Z(h) - F_Z(h)} 1{h > 0}] with
     h(x) = beta(x) + beta'(x)(psi(x) - x) and D(x) = rho(x) + rho'(x)(psi(x) - x).
-    Point-mass term: D(x_b) atom0 f1(x_b) x_b / h'(x_b) at the reserve-clearing
-    point h(x_b) = 0; it vanishes when h > 0 throughout or x_b is at a zero
-    lower support endpoint.
+    Point-mass term: D(x0) atom0 f1(x0) x0 / h'(x0) at the clearing point x0
+    where h first reaches 0. It is added only when x0 > lo, the low end of the
+    support, which holds exactly when h(lo) < 0: a clearing point at lo cannot move.
     """
-    rho_fn, rho_deriv = _as_fn_pair(rho)
     lo, hi = d1.support[0], d1.grid_upper()
     span = hi - lo
     probe = np.linspace(lo, hi, 512)
     slope = beta.derivative(probe)
-    wiggle = rho_deriv(probe)
+    wiggle = rho.derivative(probe)
     if np.any(slope <= 0) or np.any(slope + 1e-6 * wiggle <= 0) \
             or np.any(slope - 1e-6 * wiggle <= 0):
         raise NonMonotone("perturbation breaks monotonicity of the bid function")
 
     h = partial(virtualize, d1, beta, beta.derivative)
-    direction = partial(virtualize, d1, rho_fn, rho_deriv)
+    direction = partial(virtualize, d1, rho, rho.derivative)
     x0 = _clearing_point(h, lo, hi)
     if x0 is None:
         return 0.0
@@ -413,15 +400,12 @@ def directional_derivative(d1, beta: GridFunction, rho, z: CompetitionDistributi
         return _surplus(z, x, hx, direction(x)) * d1.pdf(x)
 
     total = _quad.integrate(integrand, x0, hi)
-
-    h_lo = float(h(np.asarray(lo, dtype=float)))
-    crossing = x0 if (h_lo <= 1e-12 * max(1.0, span)) else None
-    if crossing is not None:
+    if x0 > lo:
         dx = 1e-6 * span
-        a, b = max(lo, crossing - dx), min(hi, crossing + dx)
+        a, b = max(lo, x0 - dx), min(hi, x0 + dx)
         h_slope = float((h(np.asarray(b)) - h(np.asarray(a))) / (b - a))
-        d_val = float(direction(np.asarray(crossing, dtype=float)))
-        total += d_val * z.atom0 * float(d1.pdf(np.asarray(crossing))) * crossing / h_slope
+        d_val = float(direction(np.asarray(x0, dtype=float)))
+        total += d_val * z.atom0 * float(d1.pdf(np.asarray(x0))) * x0 / h_slope
     return total
 
 
@@ -456,13 +440,11 @@ def _gp_s_at_virtual(p: GPParams, t):
     return float((np.log1p(a) - np.log1p(-p.xi)) / p.xi)
 
 
-def _one_minus_exp_with_slope(w, exp_w=None, expm1_w=None):
-    """1 - e^w (1 - w) for w <= 0: -expm1(w) + w e^w, whose terms cancel by at
-    most a factor ~2/|w|, but its Taylor series (~ w^2/2) where |w| < 1e-3.
-    The caller may pass e^w and expm1(w) when it has them."""
+def _one_minus_exp_with_slope(w, exp_w, expm1_w):
+    """1 - e^w (1 - w) for w <= 0 from w, e^w and expm1(w): -expm1(w) + w e^w,
+    whose terms cancel by at most a factor ~2/|w|, but its Taylor series
+    (~ w^2/2) where |w| < 1e-3."""
     w = np.asarray(w, dtype=float)
-    exp_w = np.exp(w) if exp_w is None else exp_w
-    expm1_w = np.expm1(w) if expm1_w is None else expm1_w
     out = np.asarray(-expm1_w + w * exp_w)  # an array for 0-d w too, to write into
     small = np.abs(w) < 1e-3
     ws = w[small]

@@ -248,8 +248,6 @@ def one_vs_uniform_shading(model: DistributionModel, k: int,
 
 def gp_reparam_shading(model: DistributionModel, params: GPParams) -> ShadingStrategy:
     """Shade so the bid distribution is exactly GP(params)."""
-    if not isinstance(params, GPParams):
-        params = GPParams(*params)
     return GPReparamShading(model, params)
 
 

@@ -1,8 +1,10 @@
+import copy
 import functools
 import warnings
 from decimal import Decimal, localcontext
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,7 +60,8 @@ class TestCompetitionDistribution:
         np.testing.assert_allclose(z_two_uniform.pdf(ts), dq, atol=1e-6)
 
     def test_atom_override_keeps_continuous_part(self, z_two_uniform):
-        z0 = z_two_uniform.with_atom0(0.0)
+        z0 = copy.copy(z_two_uniform)
+        z0.atom0 = 0.0
         assert z0.cdf(0.0) == 0.0
         assert z0.cdf(0.3) == z_two_uniform.cdf(0.3)
 
@@ -309,7 +312,9 @@ class TestPayoffQuadrature:
 
         s = shade.GridShading(u, h, kinks=(0.5,))
         with_atom = payoff.payoff_quadrature(u, s, z_two_uniform).mean
-        without = payoff.payoff_quadrature(u, s, z_two_uniform.with_atom0(0.0)).mean
+        z0 = copy.copy(z_two_uniform)
+        z0.atom0 = 0.0
+        without = payoff.payoff_quadrature(u, s, z0).mean
         assert with_atom == pytest.approx(229 / 1728, abs=1e-9)
         assert with_atom - without == pytest.approx(1 / 32, abs=1e-9)
 
@@ -547,12 +552,30 @@ class TestDirectionalDerivative:
         dd = payoff.directional_derivative(u, identity, identity, z_two_uniform)
         assert dd == pytest.approx(-7 / 48, abs=1e-4)
 
+    def test_boundary_term_where_the_clearing_point_moves(self, z_two_uniform):
+        # truthful against two truthful uniforms (atom0 = 1/4) along rho = (1 + x)/2:
+        # h = 2x - 1 clears at x0 = 1/2 > 0 and D(x) = x, so the expectation term
+        # is int_{1/2}^1 x [(1 - x) x - x^2] dx and the boundary term
+        # D(x0) atom0 f1(x0) x0 / h'(x0) = 1/32; together -7/48
+        u = dist.make_uniform()
+        xs = np.linspace(0.0, 1.0, 2048)
+        identity = dist.GridFunction(xs, xs)
+        rho = dist.GridFunction(xs, (1 + xs) / 2)
+        expectation = mpmath.quad(lambda x: x * ((1 - x) * x - x ** 2), [0.5, 1])
+        want = float(expectation + mpmath.mpf(1) / 32)
+        assert want == pytest.approx(-7 / 48, abs=1e-15)
+        dd = payoff.directional_derivative(u, identity, rho, z_two_uniform)
+        assert dd == pytest.approx(want, abs=1e-9)
+
     def test_zero_direction(self, z_two_uniform):
         u = dist.make_uniform()
         xs = np.linspace(0.0, 1.0, 2048)
         identity = dist.GridFunction(xs, xs)
-        zero = (lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                lambda x: np.zeros_like(np.asarray(x, dtype=float)))
+
+        def zero(x):
+            return np.zeros_like(np.asarray(x, dtype=float))
+
+        zero.derivative = zero
         assert payoff.directional_derivative(u, identity, zero, z_two_uniform) == 0.0
 
 
@@ -797,7 +820,7 @@ class TestBSPInLogU:
 def test_one_minus_exp_with_slope_to_fifty_digits():
     ws = -np.concatenate([np.logspace(-8, np.log10(740.0), 600),
                           np.linspace(9e-4, 1.2e-3, 61), [1e-3, np.nextafter(1e-3, 1.0)]])
-    got = payoff._one_minus_exp_with_slope(ws)
+    got = payoff._one_minus_exp_with_slope(ws, np.exp(ws), np.expm1(ws))
     with localcontext() as ctx:
         ctx.prec = 50
         for w, g in zip(ws, got):
@@ -839,9 +862,8 @@ _LARGE_W = st.floats(-740.0, -1e-3)
 def test_one_minus_exp_with_slope_is_byte_equal_to_the_reference(ws):
     w = np.asarray(ws, dtype=float)
     want = _ref_one_minus_exp_with_slope(w)
-    for got in (payoff._one_minus_exp_with_slope(w),
-                payoff._one_minus_exp_with_slope(w, np.exp(w), np.expm1(w))):
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got = payoff._one_minus_exp_with_slope(w, np.exp(w), np.expm1(w))
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,6 +1,8 @@
-"""The README's example configs, run as documented: README.md stays the one
-copy of them, and a config it shows always runs."""
+"""The README's example configs and library tour, run as documented: README.md
+stays the one copy of them, a config it shows always runs, and the tour's
+commented values hold."""
 
+import ast
 import json
 import re
 from pathlib import Path
@@ -42,3 +44,26 @@ def test_readme_config_runs(name, tmp_path):
     out = tmp_path / "out"
     assert cli.main([_commands()[name], str(path), "--out", str(out)]) == 0
     assert out.stat().st_size > 0
+
+
+def test_library_tour_values():
+    """Runs the ```python block and checks the value of each bare expression:
+    psi(0.75) and the monopoly price 0.5, the truthful payoff 11/192, and the
+    Monte Carlo per-bidder payoffs and revenue within 3 SE of 1/12 and 1/2."""
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    namespace, values = {}, []
+    for stmt in ast.parse(block).body:
+        if isinstance(stmt, ast.Expr):
+            values.append(eval(compile(ast.Expression(stmt.value), "README.md", "eval"),
+                               namespace))
+        else:
+            exec(compile(ast.Module([stmt], []), "README.md", "exec"), namespace)
+    psi, reserve, truthful, per_bidder, revenue = values
+    assert psi == 0.5 and reserve == 0.5
+    assert truthful == pytest.approx(11 / 192, abs=1e-12)
+    est = namespace["est"]
+    assert per_bidder == est.per_bidder and len(per_bidder) == 3
+    for v, se in zip(per_bidder, est.per_bidder_se):
+        assert abs(v - 1 / 12) < 3 * se
+    assert revenue == est.seller_revenue
+    assert abs(revenue - 1 / 2) < 3 * est.seller_revenue_se

@@ -30,6 +30,17 @@ class TestLinearShading:
             with pytest.raises(InvalidParams):
                 shade.linear_shading(uniform, alpha)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.7])
+    def test_grid_bid_law_is_the_exact_push_forward(self, alpha):
+        # a grid law's bid law alpha X: knots alpha x and density f(x)/alpha,
+        # with no table of alpha x in between
+        xs = np.linspace(0.0, 1.0, 129)
+        base = dist.make_grid(xs, xs, np.ones_like(xs))
+        g = base.default_grid()
+        law = shade.linear_shading(base, alpha).bid_distribution()
+        assert law.knots.tobytes() == (alpha * g).tobytes()
+        assert law.pdf_values.tobytes() == (base.pdf(g) / alpha).tobytes()
+
 
 class TestGammaFromTarget:
     def test_identity_target(self, uniform):
@@ -214,7 +225,7 @@ class TestGPReparam:
     def test_bid_distribution_ks(self, uniform):
         params = dist.GPParams(0.1, 0.5, -0.6)
         s = shade.gp_reparam_shading(uniform, params)
-        target = dist.make_gp(params)
+        target = dist.GPDistribution(params)
         n = 10 ** 5
         bids = np.sort(s.bid(uniform.sample(n, seed=9)))
         d = np.abs(np.arange(1, n + 1) / n - target.cdf(bids)).max()

@@ -19,8 +19,8 @@ _XS = np.linspace(0.0, 1.0, 2048)
 STRATEGIES = (
     shade.truthful(UNIFORM),
     shade.linear_shading(GP, 0.6),
-    shade.gp_reparam_shading(UNIFORM, (0.1, 0.5, -0.4)),
-    shade.gp_reparam_shading(GP, (0.0, 1.0, 0.0)),
+    shade.gp_reparam_shading(UNIFORM, dist.GPParams(0.1, 0.5, -0.4)),
+    shade.gp_reparam_shading(GP, dist.GPParams(0.0, 1.0, 0.0)),
     shade.GridShading(GP, lambda x: x ** 2 / 2 + x),
     shade.equilibrium_shading(UNIFORM, 3),
     shade.one_vs_uniform_shading(UNIFORM, 3),
