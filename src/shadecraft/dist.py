@@ -416,6 +416,17 @@ class GPDistribution(DistributionModel):
         hi = np.inf if p.xi == 0 else p.mu - p.sigma / p.xi
         return (p.mu, hi)
 
+    def _base(self, x, z):
+        """1 + xi z, which sf and pdf raise to powers. Where xi < -1 it is
+        taken as -xi (hi - x) / sigma, exactly 0 at the top hi: sf is then
+        base ** (1 / |xi|) with 1 / |xi| < 1, which would blow the ~1e-16
+        rounding error of 1 + xi z up (to sf = 6.06e-6 at the top of
+        GP(0.3, 2, -3)). Where -1 <= xi < 0 the power does not amplify it."""
+        p = self.params
+        if p.xi < -1:
+            return -p.xi * (self.support[1] - x) / p.sigma
+        return 1.0 + p.xi * z
+
     def sf(self, x):
         p = self.params
         x = np.asarray(x, dtype=float)
@@ -423,7 +434,7 @@ class GPDistribution(DistributionModel):
         if p.xi == 0:
             out = np.exp(-np.maximum(z, 0.0))
         else:
-            base = np.maximum(1.0 + p.xi * z, 0.0)
+            base = np.maximum(self._base(x, z), 0.0)
             out = base ** (-1.0 / p.xi)
         return np.where(z < 0, 1.0, out)
 
@@ -437,7 +448,7 @@ class GPDistribution(DistributionModel):
         if p.xi == 0:
             out = np.exp(-z) / p.sigma
             return np.where(z < 0, 0.0, out)
-        base = 1.0 + p.xi * z
+        base = self._base(x, z)
         inside = (z >= 0) & (base > 0)
         out = np.zeros_like(z)
         out[inside] = base[inside] ** (-1.0 / p.xi - 1.0) / p.sigma

@@ -4,10 +4,13 @@ The vectorized kernel _scored_outcomes is the only implementation of the six
 allocation and payment rules. Monte Carlo runs it on whole chunks of rounds;
 each run_* is a one-row view of it that adds input validation. Every rule
 gives the item to the highest score (a virtualized, boosted or reserve-masked
-bid) and prices it from the second highest; _rank finds both with one
-in-place pass per bidder column. Ties in (virtualized) bids go to the lowest
-bidder index, a bid equal to its reserve counts as clearing, and with no sale
-the payment is 0. A NaN bid is refused with InvalidParams, for every kind.
+bid) and prices it from the second highest; _rank finds both with a few
+plain ufunc passes per bidder column and no masked copy, so each column is
+best read as a contiguous row (Monte Carlo passes the transpose of one row
+per bidder). Ties in (virtualized) bids go to the lowest bidder index, whose
+score keeps its bits (-0.0 ahead of a later +0.0), a bid equal to its reserve
+counts as clearing, and with no sale the payment is 0. A NaN bid is refused
+with InvalidParams, for every kind.
 """
 
 from dataclasses import dataclass
@@ -65,18 +68,23 @@ class AuctionOutcome:
 def _rank(cols):
     """Per round over K score columns: (winner, best, second), the lowest
     index holding the highest score, that score, and the highest score of the
-    other columns (-inf for K = 1). One in-place pass per column after the
-    first; a score that only ties the best does not displace it."""
+    other columns (-inf for K = 1). Each column after the first is folded in
+    with plain ufunc passes and no masked copy: second takes the smaller of
+    (best, column), winner takes i where the column beats best, and best the
+    larger of the two. A score that only ties the best does not displace it:
+    where they tie, best keeps its own bits (so -0.0 stays ahead of a later
+    +0.0, as argmax keeps it), copied back at those few rounds."""
     best = np.array(cols[0])
     winner = np.zeros(best.shape, dtype=np.intp)
     second = np.full(best.shape, -np.inf)
     for i in range(1, len(cols)):
         c = cols[i]
-        better = c > best
-        np.maximum(second, c, out=second)
-        np.copyto(second, best, where=better)
-        np.copyto(best, c, where=better)
-        np.copyto(winner, i, where=better)
+        np.maximum(second, np.minimum(best, c), out=second)
+        np.maximum(winner, (c > best) * i, out=winner)
+        tie = np.flatnonzero(c == best)
+        kept = best[tie]
+        np.maximum(best, c, out=best)
+        best[tie] = kept
     return winner, best, second
 
 

@@ -212,22 +212,25 @@ def _chunk_stats(value_models, strategies, cfg, seed, chunk_index, size):
     key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(chunk_index)],
                    dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    u = rng.random((size, len(value_models)))
-    values = np.column_stack([m.quantile(u[:, i]) for i, m in enumerate(value_models)])
-    del u
-    bids = np.column_stack([s.bid(values[:, i]) for i, s in enumerate(strategies)])
-    winner, payment = _outcomes(bids, cfg)
-    del bids
     k = len(value_models)
+    u = rng.random((size, k))
+    # one contiguous (rounds,) row per bidder; the kernel takes the (rounds, K)
+    # transpose, whose columns are these rows. Stacking whole rows, not filling
+    # a preallocated array row by row, keeps the chunk's page faults low
+    values = np.array([m.quantile(u[:, i]) for i, m in enumerate(value_models)])
+    del u
+    bids = np.array([s.bid(values[i]) for i, s in enumerate(strategies)])
+    winner, payment = _outcomes(bids.T, cfg)
+    del bids
     if k > 1:
         # each winner's gains summed in round order, as numpy sums the columns
         # of the (rounds, K) utility matrix
         sale = np.flatnonzero(winner >= 0)
         who = winner[sale]
-        gain = values[sale, who] - payment[sale]
+        gain = values[who, sale] - payment[sale]
         usum, usq = np.bincount(who, gain, k), np.bincount(who, gain ** 2, k)
     else:  # a lone column numpy sums pairwise, over every round
-        util = np.where(winner >= 0, values[:, 0] - payment, 0.0)[:, None]
+        util = np.where(winner >= 0, values[0] - payment, 0.0)[:, None]
         usum, usq = util.sum(axis=0), (util ** 2).sum(axis=0)
     return usum, usq, payment.sum(), (payment ** 2).sum()
 

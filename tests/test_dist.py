@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -65,6 +66,28 @@ class TestMakeGP:
         u = np.array([1e-20, 1e-300])
         np.testing.assert_allclose(e.isf(u), -np.log(u), rtol=1e-15)
         assert np.all(np.isinf(e.quantile(1.0 - u)))
+
+
+@pytest.mark.parametrize("params", [(0.3, 2.0, -3.0), (0.0, 1.0, -1.5), (-0.5, 0.25, -8.0)])
+def test_gp_sf_and_pdf_near_a_bounded_top_against_mpmath(params):
+    """Where xi < -1, sf and pdf at x = hi - d, d from one ulp of the top hi
+    to most of the support, within 1e-14 relative of 50-digit values of the
+    law whose top is hi. At the top, sf is 0, cdf 1 and pdf 0 exactly."""
+    mu, sigma, xi = params
+    m = dist.make_gp(mu, sigma, xi)
+    hi = m.support[1]
+    assert m.sf(hi) == 0.0 and m.cdf(hi) == 1.0 and m.pdf(hi) == 0.0
+    ulp = abs(np.spacing(hi))
+    ds = [ulp, 7 * ulp, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3,
+          0.5 * (hi - mu), 0.99 * (hi - mu)]
+    xs = np.array([hi - d for d in ds])
+    with mpmath.workdps(50):
+        bases = [-mpmath.mpf(xi) * (mpmath.mpf(hi) - mpmath.mpf(x)) / sigma for x in xs]
+        sf = [float(b ** (-1 / mpmath.mpf(xi))) for b in bases]
+        pdf = [float(b ** (-1 / mpmath.mpf(xi) - 1) / sigma) for b in bases]
+    np.testing.assert_allclose(m.sf(xs), sf, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(m.cdf(xs), 1.0 - np.array(sf), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(m.pdf(xs), pdf, rtol=1e-14, atol=0)
 
 
 class TestVirtualValue:

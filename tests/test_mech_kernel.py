@@ -189,6 +189,57 @@ def test_rank_matches_argmax_and_partition(rows):
         assert got_second[nonzero].tobytes() == second[nonzero].tobytes()
 
 
+def copyto_rank(cols):
+    """`mech._rank` as it was written with one masked copy per output and
+    column: the byte reference for the ufunc-only passes."""
+    best = np.array(cols[0])
+    winner = np.zeros(best.shape, dtype=np.intp)
+    second = np.full(best.shape, -np.inf)
+    for i in range(1, len(cols)):
+        c = cols[i]
+        better = c > best
+        np.maximum(second, c, out=second)
+        np.copyto(second, best, where=better)
+        np.copyto(best, c, where=better)
+        np.copyto(winner, i, where=better)
+    return winner, best, second
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+def test_rank_is_byte_equal_to_the_copyto_rank(k):
+    # a whole chunk of rounds, so numpy's SIMD maximum and minimum loops run,
+    # with signed zeros and infinities tying often
+    w = np.random.default_rng(k).choice(np.array(SCORES), size=(k, 1 << 16))
+    winner, best, second = copyto_rank(w)
+    got_winner, got_best, got_second = mech._rank(w)
+    assert got_winner.tobytes() == winner.tobytes()
+    assert got_best.tobytes() == best.tobytes()
+    assert np.array_equal(got_second, second)
+    nonzero = second != 0
+    assert got_second[nonzero].tobytes() == second[nonzero].tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("k", [1, 3])
+def test_outcomes_on_transposed_rows_give_the_same_bytes(kind, k):
+    """`_chunk_stats` passes the (rounds, K) transpose of one row per bidder;
+    every kind must give the same bytes as on a C-ordered (rounds, K) array."""
+    rng = np.random.default_rng(7)
+    if kind == "myerson":
+        models = MODELS[:k]
+        rows = np.array([m.quantile(rng.choice(QUANTILES, size=4096)) for m in models])
+        cfg = mech.MechanismConfig(kind, bid_models=models)
+    else:
+        rows = rng.choice(LEVELS, size=(k, 4096))
+        cfg = mech.MechanismConfig(kind, reserves=(0.25, 0.5, 0.0)[:k],
+                                   boosts=BOOSTS[:k] if kind == "boosted-second-price" else ())
+    assert k == 1 or not rows.T.flags.c_contiguous
+    for got, want in zip(payoff._outcomes(rows.T, cfg),
+                         payoff._outcomes(np.ascontiguousarray(rows.T), cfg)):
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+
 # ----------------------------------------------------------------------
 # Monte Carlo through the kernel branches the README configs never run
 # ----------------------------------------------------------------------

@@ -2,12 +2,17 @@
 
     python tools/ab.py <parent> <change> --workload W [--pairs 10] [--passes 5]
 
-Each pair runs the two checkouts one after the other, each in a fresh
-process, and alternates which goes first (the parent in pairs 1, 3, 5, ...). A process imports the library and the workload from its
-own checkout (src/ and perfbench/workloads.py), runs the set-up at seed
-1 + pair index, one untimed pass, then --passes timed passes of the workload's
-operations, with no scaling to a nominal host speed. Its reading is the mean
-wall and CPU time of a pass. Both sides of a pair use the same seed.
+Each pair starts both checkouts at once as live processes, one per checkout.
+A process imports the library and the workload from its own checkout (src/
+and perfbench/workloads.py), runs the set-up at seed 1 + pair index and one
+untimed pass, and then waits. The two processes then take turns: single
+timed passes alternate between them, --passes each, and only one runs at a
+time. The side that goes first alternates from one pass to the next, and
+between pairs (the parent opens pairs 1, 3, 5, ...). Host drift during a pair
+thus falls on both sides alike, a pass apart, rather than on whichever
+process happened to run later. A side's reading is the mean wall and CPU time
+of its passes, with no scaling to a nominal host speed. Both sides of a pair
+use the same seed.
 
 The report gives each side's median wall and CPU time, the paired ratio
 change/parent of wall time (median and quartiles), the number of pairs the
@@ -24,6 +29,7 @@ import json
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -32,8 +38,10 @@ import numpy as np
 TOOLS = Path(__file__).resolve().parent
 
 
-def side(root, workload_name, seed, passes):
-    """One side in this process: {"wall_s", "cpu_s", "failed", "fingerprint"}."""
+def serve(root, workload_name, seed):
+    """One side in this process. After the set-up and an untimed pass it
+    answers each "pass" line on standard input with one timed pass,
+    {"wall_s", "cpu_s"}, and "end" with {"failed", "fingerprint"}."""
     root = Path(root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench"), str(TOOLS)]
     import shadecraft
@@ -41,6 +49,11 @@ def side(root, workload_name, seed, passes):
     from workloads import WORKLOADS
     if Path(shadecraft.__file__).resolve().parent != root / "src" / "shadecraft":
         raise SystemExit(f"shadecraft was imported from outside {root}")
+    # answers go to the real standard output; anything else printed goes to stderr
+    answer, sys.stdout = sys.stdout, sys.stderr
+
+    def say(obj):
+        print(json.dumps(obj), file=answer, flush=True)
 
     workload = WORKLOADS[workload_name]
     state = workload.setup(seed)
@@ -57,24 +70,68 @@ def side(root, workload_name, seed, passes):
 
     one_pass()  # lazy tables and first-use costs are not timed
     failed = 0
-    wall, cpu = [], []
-    for _ in range(passes):
-        w0, c0 = time.perf_counter(), time.process_time()
-        one_pass()
-        wall.append(time.perf_counter() - w0)
-        cpu.append(time.process_time() - c0)
-    return {"wall_s": statistics.fmean(wall), "cpu_s": statistics.fmean(cpu),
-            "failed": failed, "fingerprint": _workload_hash(workload)}
+    say({"ready": True})
+    for line in sys.stdin:
+        if line.strip() == "pass":
+            w0, c0 = time.perf_counter(), time.process_time()
+            one_pass()
+            say({"wall_s": time.perf_counter() - w0, "cpu_s": time.process_time() - c0})
+        else:
+            say({"failed": failed, "fingerprint": _workload_hash(workload)})
+            return
 
 
-def run_side(root, workload, seed, passes):
-    out = subprocess.run(
-        [sys.executable, str(Path(__file__).resolve()), "--side", str(root),
-         "--workload", workload, "--seed", str(seed), "--passes", str(passes)],
-        capture_output=True, text=True)
-    if out.returncode:
-        raise SystemExit(f"{root} failed:\n{out.stderr}")
-    return json.loads(out.stdout.splitlines()[-1])
+class Side:
+    """A live `serve` process of one checkout."""
+
+    def __init__(self, root, workload, seed):
+        self.root = root
+        self.err = tempfile.TemporaryFile(mode="w+")
+        self.proc = subprocess.Popen(
+            [sys.executable, str(Path(__file__).resolve()), "--side", str(root),
+             "--workload", workload, "--seed", str(seed)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self.err, text=True)
+
+    def read(self):
+        line = self.proc.stdout.readline()
+        if not line:
+            self.proc.wait()
+            self.err.seek(0)
+            raise SystemExit(f"{self.root} failed:\n{self.err.read()}")
+        return json.loads(line)
+
+    def ask(self, command):
+        self.proc.stdin.write(command + "\n")
+        self.proc.stdin.flush()
+        return self.read()
+
+    def close(self):
+        self.proc.stdin.close()
+        self.proc.wait()
+        self.err.close()
+
+
+def run_pair(roots, workload, seed, passes, first):
+    """{name: {"wall_s", "cpu_s", "failed", "fingerprint"}} for one pair; the
+    side at index `first` of `roots` opens with its first pass."""
+    sides = {name: Side(root, workload, seed) for name, root in roots.items()}
+    try:
+        for s in sides.values():
+            s.read()  # set up and warmed
+        names = list(sides)
+        times = {name: [] for name in names}
+        for j in range(passes):
+            for name in (names if (first + j) % 2 == 0 else names[::-1]):
+                times[name].append(sides[name].ask("pass"))
+        out = {}
+        for name, s in sides.items():
+            out[name] = {"wall_s": statistics.fmean(t["wall_s"] for t in times[name]),
+                         "cpu_s": statistics.fmean(t["cpu_s"] for t in times[name]),
+                         **s.ask("end")}
+        return out
+    finally:
+        for s in sides.values():
+            s.close()
 
 
 def traced_counts(root, workload):
@@ -102,18 +159,18 @@ def main(argv=None):
     if args.passes < 1 or args.pairs < 1:
         ap.error("--pairs and --passes must be >= 1")
     if args.side:
-        print(json.dumps(side(args.side, args.workload, args.seed, args.passes)))
+        serve(args.side, args.workload, args.seed)
         return
     if not (args.parent and args.change):
         ap.error("give a parent and a change checkout")
 
     runs = {"parent": [], "change": []}
+    roots = {"parent": args.parent, "change": args.change}
     for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for name in order:
-            root = args.parent if name == "parent" else args.change
-            runs[name].append(run_side(root, args.workload, 1 + i, args.passes))
-        p, c = runs["parent"][-1], runs["change"][-1]
+        pair = run_pair(roots, args.workload, 1 + i, args.passes, first=i % 2)
+        for name in runs:
+            runs[name].append(pair[name])
+        p, c = pair["parent"], pair["change"]
         print(f"pair {i + 1}: parent {p['wall_s']:.4f} s, change {c['wall_s']:.4f} s, "
               f"ratio {c['wall_s'] / p['wall_s']:.3f}", flush=True)
 
