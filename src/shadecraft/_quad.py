@@ -7,8 +7,8 @@ must act elementwise: many panels share one call.
 `integrate` refines level by level. Its first call evaluates one 15-point
 panel per breakpoint segment and both halves of each segment; each later call
 evaluates both halves of every unresolved panel. A panel is resolved when its
-halves agree with it (in every row), at depth 48, or when the panel budget
-runs out, which warns.
+halves agree with it (in every row); refinement stops at depth 48 or when the
+panel budget runs out, and either warns if a panel is still unresolved.
 """
 
 import warnings
@@ -68,9 +68,10 @@ def integrate(f, a, b, breakpoints=(), max_panels=100000):
         ok = np.abs(both - whole) <= np.maximum(tol, 4e-16 * np.abs(both))
         done = ok.reshape(-1, k).all(axis=0)
         if depth == 0 or budget <= 0:
-            if depth and not done.all():
-                warnings.warn(f"integral over [{a}, {b}] used up its budget of "
-                              f"{max_panels} panels", IntegrationWarning, stacklevel=2)
+            if not done.all():
+                why = f"used up its budget of {max_panels} panels" if depth \
+                    else f"reached depth {_MAX_DEPTH} unresolved"
+                warnings.warn(f"integral over [{a}, {b}] {why}", IntegrationWarning, stacklevel=2)
             done[:] = True
         total = total + both[..., done].sum(axis=-1)
         if done.all():

@@ -514,10 +514,8 @@ class GridDistribution(DistributionModel):
         cdf_values = np.asarray(cdf_values, dtype=float)
         if knots.ndim != 1 or knots.shape != cdf_values.shape or knots.size < 4:
             raise InvalidParams("knots and cdf values must be 1-d arrays of equal length >= 4")
-        if not (np.all(np.isfinite(knots)) and np.all(np.isfinite(cdf_values))):
-            raise InvalidParams("knots and cdf values must be finite")
-        if np.any(np.diff(knots) <= 0):
-            raise NonMonotone("knots must be strictly increasing")
+        if not np.all(np.isfinite(cdf_values)):
+            raise InvalidParams("cdf values must be finite")
         if cdf_values[0] < -1e-12 or cdf_values[-1] > 1.0 + 1e-12:
             raise InvalidParams("cdf values must lie in [0, 1]")
         self.knots = knots

@@ -92,13 +92,15 @@ def _scored_outcomes(bids, cfg: MechanismConfig):
     """Vectorized per-round winner (-1 for no sale), payment, and the scores
     the allocation maximizes, one row per bidder (virtualized bids for
     myerson, boosted margins for boosted second price, None for the other
-    kinds). InvalidParams if any bid is NaN."""
+    kinds). Second price is lazy VCG. InvalidParams if any bid is NaN."""
     if np.isnan(bids).any():
         raise InvalidParams("bids must not be NaN")
     n, k = bids.shape
     cols = [bids[:, i] for i in range(k)]
     kind = cfg.kind
     w = None
+    r = np.full(k, (*cfg.reserves, 0.0)[0]) if kind == "second-price" \
+        else np.asarray(cfg.reserves)
 
     if kind == "myerson":
         w = np.empty((k, n))
@@ -115,29 +117,21 @@ def _scored_outcomes(bids, cfg: MechanismConfig):
                 payment[sel] = m._inverse_virtual_clamped(payment[sel])
     elif kind == "boosted-second-price":
         s = np.asarray(cfg.boosts)
-        r = np.asarray(cfg.reserves)
         w = np.array([s[i] * (c - r[i]) for i, c in enumerate(cols)])
         winner, best, second = _rank(w)
         sale = best >= 0
         payment = r[winner] + np.maximum(0.0, second) / s[winner]
-    elif kind == "vcg-lazy":
-        r = np.asarray(cfg.reserves)
+    elif kind in ("vcg-lazy", "second-price"):
         winner, best, second = _rank(cols)
         sale = best >= r[winner]
         payment = np.maximum(r[winner], second)
     elif kind == "vcg-eager":
-        r = np.asarray(cfg.reserves)
         winner, best, second = _rank([np.where(c >= ri, c, -np.inf) for c, ri in zip(cols, r)])
         sale = best > -np.inf
         payment = np.maximum(r[winner], second)
     elif kind == "first-price":
         winner, payment, _ = _rank(cols)
         sale = np.ones(n, dtype=bool)
-    elif kind == "second-price":
-        reserve = cfg.reserves[0] if cfg.reserves else 0.0
-        winner, best, second = _rank(cols)
-        sale = best >= reserve
-        payment = np.maximum(reserve, second)
     else:
         raise InvalidParams(f"unsupported mechanism kind: {kind!r}")
 

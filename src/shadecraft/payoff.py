@@ -7,13 +7,14 @@ mass at 0 (the probability that every competitor misses her reserve); the
 quadrature, the functional directional derivative and the boosted-second-
 price parameter gradient all account for it explicitly.
 
-The reserve-clearing rule, the smallest value whose virtualized bid is
->= 0, lives in `_clearing_point`; the Myerson surplus (x - h) F_Z(h) and its
-first-order term D [(x - h) f_Z(h) - F_Z(h)], in `_surplus`; the law of the
-highest competitor, in `_law_of_max`. Virtualized bids come from
-`shade.virtualize`. Linear shading (bid alpha x) has its own integrand,
-`_linear_integral`: one row per alpha, for payoffs or their exact
-alpha-derivatives, under Myerson or VCG reserves.
+The payoff and its functional derivative integrate over the clearing region
+{h >= 0} of the virtualized bid h, from the point `_clearing_point` finds, in
+`_clearing_integral`. `_surplus` gives the Myerson surplus (x - h) F_Z(h) and
+its first-order term D [(x - h) f_Z(h) - F_Z(h)]; `_law_of_max`, the law of
+the highest competitor. Virtualized bids come from `shade.virtualize`.
+Linear shading (bid alpha x) has its own integrand, `_linear_integral`: one
+row per alpha, for payoffs or their exact alpha-derivatives, under Myerson or
+VCG reserves.
 
 The boosted-second-price payoff and its (mu, sigma, xi) gradient share one
 integral, `_bsp_integral`, over s = -log u with u = 1 - F1(x1) and weight
@@ -171,6 +172,18 @@ def _surplus(z, x, h, direction=None):
     return direction * ((x - h) * pdf - cdf)
 
 
+def _clearing_integral(d1, h, row, kinks=()):
+    """(int row(x, max(h, 0)) f1 dx over [x0, grid upper], x0) for an increasing
+    virtualized bid h that clears at x0, split at kinks; (0.0, None) if h never
+    clears. The clearing region in x; `_bsp_integral` is its twin in s."""
+    hi = d1.grid_upper()
+    x0 = _clearing_point(h, d1.support[0], hi)
+    if x0 is None:
+        return 0.0, None
+    return _quad.integrate(lambda x: row(x, np.maximum(h(x), 0.0)) * d1.pdf(x), x0, hi,
+                           breakpoints=kinks), x0
+
+
 def payoff_quadrature(d1: DistributionModel, strategy: ShadingStrategy,
                       z: CompetitionDistribution) -> PayoffEstimate:
     """Expected payoff of a bidder with values from d1 shading via strategy
@@ -180,16 +193,8 @@ def payoff_quadrature(d1: DistributionModel, strategy: ShadingStrategy,
     bid; F_Z(0+) carries the atom, so a strategy whose virtualized bid stays
     (barely) positive wins whenever every competitor misses her reserve.
     """
-    h = strategy.virtualized_bid
-    x0 = _clearing_point(h, d1.support[0], d1.grid_upper())
-    if x0 is None:
-        return PayoffEstimate(mean=0.0, per_bidder=(0.0,))
-
-    def integrand(x):
-        hx = np.maximum(h(x), 0.0)
-        return _surplus(z, x, hx) * d1.pdf(x)
-
-    val = _quad.integrate(integrand, x0, d1.grid_upper(), breakpoints=strategy.kinks)
+    val, _ = _clearing_integral(d1, strategy.virtualized_bid,
+                                lambda x, hx: _surplus(z, x, hx), strategy.kinks)
     return PayoffEstimate(mean=val, per_bidder=(val,))
 
 
@@ -264,15 +269,7 @@ def payoff_monte_carlo(value_models, strategies, cfg: MechanismConfig, rounds: i
     else:
         parts = [run(j) for j in jobs]
 
-    usum = np.zeros(k)
-    usq = np.zeros(k)
-    rsum = 0.0
-    rsq = 0.0
-    for pu, pu2, pr, pr2 in parts:
-        usum += pu
-        usq += pu2
-        rsum += pr
-        rsq += pr2
+    usum, usq, rsum, rsq = (reduce(np.add, col, 0.0) for col in zip(*parts))
     per = usum / rounds
     per_se = np.sqrt(np.maximum(usq / rounds - per ** 2, 0.0) / rounds)
     rev = rsum / rounds
@@ -384,27 +381,16 @@ def directional_derivative(d1, beta, rho, z: CompetitionDistribution):
     support, which holds exactly when h(lo) < 0: a clearing point at lo cannot move.
     """
     lo, hi = d1.support[0], d1.grid_upper()
-    span = hi - lo
     probe = np.linspace(lo, hi, 512)
-    slope = beta.derivative(probe)
-    wiggle = rho.derivative(probe)
-    if np.any(slope <= 0) or np.any(slope + 1e-6 * wiggle <= 0) \
-            or np.any(slope - 1e-6 * wiggle <= 0):
+    # beta and beta +- 1e-6 rho all increasing
+    if np.any(beta.derivative(probe) <= 1e-6 * np.abs(rho.derivative(probe))):
         raise NonMonotone("perturbation breaks monotonicity of the bid function")
 
     h = partial(virtualize, d1, beta, beta.derivative)
     direction = partial(virtualize, d1, rho, rho.derivative)
-    x0 = _clearing_point(h, lo, hi)
-    if x0 is None:
-        return 0.0
-
-    def integrand(x):
-        hx = np.maximum(h(x), 0.0)
-        return _surplus(z, x, hx, direction(x)) * d1.pdf(x)
-
-    total = _quad.integrate(integrand, x0, hi)
-    if x0 > lo:
-        dx = 1e-6 * span
+    total, x0 = _clearing_integral(d1, h, lambda x, hx: _surplus(z, x, hx, direction(x)))
+    if x0 is not None and x0 > lo:
+        dx = 1e-6 * (hi - lo)
         a, b = max(lo, x0 - dx), min(hi, x0 + dx)
         h_slope = float((h(np.asarray(b)) - h(np.asarray(a))) / (b - a))
         d_val = float(direction(np.asarray(x0, dtype=float)))

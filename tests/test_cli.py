@@ -207,6 +207,43 @@ class TestSimulate:
         assert res["myerson"]["seller_revenue"] == pytest.approx(
             res["boosted-second-price"]["seller_revenue"], abs=1e-12)
 
+    def _report(self, tmp_path, mechanism):
+        out = tmp_path / "sim-report.json"
+        assert cli.main(["simulate", self._config(tmp_path, str(out), mechanism)]) == 0
+        return json.loads(out.read_text())
+
+    @staticmethod
+    def _within_3_se(report, per_bidder, revenue):
+        # 3 truthful Unif[0,1] bidders facing one reserve r earn 1/12 - r^3/3 + r^4/4
+        # each, and the seller 1/2 + r^3 - 3 r^4 / 2
+        est = report["estimate"]
+        for mean, se in zip(est["per_bidder"], report["per_bidder_se"]):
+            assert abs(mean - per_bidder) < 3 * se
+        assert abs(est["seller_revenue"] - revenue) < 3 * report["seller_revenue_se"]
+
+    def test_second_price_monopoly_reserve(self, tmp_path):
+        # the monopoly reserve of a uniform bid law is 1/2
+        report = self._report(tmp_path, {"kind": "second-price", "reserve": "monopoly"})
+        self._within_3_se(report, 11 / 192, 17 / 32)
+
+    def test_second_price_numeric_reserve(self, tmp_path):
+        report = self._report(tmp_path, {"kind": "second-price", "reserve": 0.25})
+        self._within_3_se(report, 1 / 12 - 0.25 ** 3 / 3 + 0.25 ** 4 / 4, 261 / 512)
+
+    @pytest.mark.parametrize("kind", ["vcg-lazy", "vcg-eager"])
+    def test_explicit_vcg_reserves(self, tmp_path, kind):
+        # reserves 1/4 in place of the fitted monopoly reserves 1/2
+        report = self._report(tmp_path, {"kind": kind, "reserves": [0.25] * 3})
+        self._within_3_se(report, 1 / 12 - 0.25 ** 3 / 3 + 0.25 ** 4 / 4, 261 / 512)
+
+    def test_explicit_bsp_boosts_default_to_zero_reserves(self, tmp_path):
+        # equal boosts and reserves 0 are second price without a reserve,
+        # round for round, in place of the fitted (Myerson) boosts and reserves
+        report = self._report(tmp_path, {"kind": "boosted-second-price", "boosts": [2.0] * 3})
+        plain = self._report(tmp_path, {"kind": "second-price", "reserve": 0.0})
+        assert report == dict(plain, mechanism="boosted-second-price")
+        self._within_3_se(report, 1 / 12, 1 / 2)
+
     def test_flag_overrides(self, tmp_path):
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"

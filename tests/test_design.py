@@ -5,7 +5,8 @@ family or strategy, so no code under src/shadecraft dispatches on a model or
 strategy class with isinstance (or issubclass). A grid-backed law is built
 only in dist.py, where the push-forward H(beta(x)) = F(x), h = f/beta' is
 written once. Every PCHIP table is built by dist._pchip, so no module uses
-scipy's PchipInterpolator.
+scipy's PchipInterpolator. The payoff engines integrate in four places only,
+and the clearing point is found in one.
 """
 
 import ast
@@ -111,3 +112,36 @@ def test_scan_sees_a_pchip_use():
                      "import scipy.interpolate\n"
                      "f = scipy.interpolate.PchipInterpolator(x, y)\n")
     assert list(_pchip_uses(tree)) == [1, 3]
+
+
+def _callers(tree, callee):
+    """(line, top-level definition) of each call of callee, a name such as
+    "_quad.integrate" as the source spells it; None outside any definition."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == callee:
+                yield node.lineno, getattr(top, "name", None)
+
+
+def _src_callers(callee):
+    """(file, top-level definition) of each call of callee in the library source."""
+    return [(path.name, name) for path in sorted(SRC.rglob("*.py"))
+            for _, name in _callers(ast.parse(path.read_text(), str(path)), callee)]
+
+
+def test_one_clearing_point_caller():
+    # the clearing point is found in one place, for the integral in x
+    assert _src_callers("_clearing_point") == [("payoff.py", "_clearing_integral")]
+
+
+def test_payoff_integrates_in_four_places():
+    # the clearing region in x and in s, linear shading and first price
+    assert {name for file, name in _src_callers("_quad.integrate") if file == "payoff.py"} \
+        == {"_clearing_integral", "_bsp_integral", "_linear_integral", "first_price_payoff"}
+
+
+def test_scan_sees_a_call():
+    tree = ast.parse("def f(g):\n    return _quad.integrate(lambda x: g(x), 0, 1)\n"
+                     "x0 = _clearing_point(h, 0.0, 1.0)\n")
+    assert list(_callers(tree, "_quad.integrate")) == [(2, "f")]
+    assert list(_callers(tree, "_clearing_point")) == [(3, None)]

@@ -307,6 +307,21 @@ def test_grid_whose_tables_cannot_be_built_is_refused(cdf, pdf, error):
         dist.make_grid([0, 0.2, 0.4, 0.6, 0.8, 1.0], cdf, pdf)
 
 
+@pytest.mark.parametrize("knots, error", [
+    ([0, 0.2, np.inf, 0.6, 0.8, 1.0], InvalidParams),
+    ([0, 0.2, np.nan, 0.6, 0.8, 1.0], InvalidParams),
+    ([-np.inf, 0.2, 0.4, 0.6, 0.8, 1.0], InvalidParams),
+    ([0, 0.4, 0.2, 0.6, 0.8, 1.0], NonMonotone),
+    ([0, 0.2, 0.2, 0.6, 0.8, 1.0], NonMonotone),
+    ([1.0, 0.8, 0.6, 0.4, 0.2, 0], NonMonotone),
+])
+@pytest.mark.parametrize("pdf", [np.ones(6), None])
+def test_bad_knots_are_refused_by_the_table_builder(knots, error, pdf):
+    # the grid leaves its knots to dist._pchip, which refuses them as scipy does
+    with pytest.raises(error):
+        dist.make_grid(knots, [0, 0.2, 0.4, 0.6, 0.8, 1.0], pdf)
+
+
 @pytest.mark.parametrize("pdf", [np.ones(6), None])
 def test_cdf_is_checked_for_increase_after_clipping(pdf):
     # both values below 0 clip to 0: the refusal names the cdf, not the knots

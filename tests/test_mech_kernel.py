@@ -240,6 +240,32 @@ def test_outcomes_on_transposed_rows_give_the_same_bytes(kind, k):
         assert got.tobytes() == want.tobytes()
 
 
+def own_second_price_branch(bids, cfg):
+    """The kernel's second-price branch as it was written before second price
+    became lazy VCG with one reserve: the byte reference for the fold."""
+    reserve = cfg.reserves[0] if cfg.reserves else 0.0
+    winner, best, second = mech._rank([bids[:, i] for i in range(bids.shape[1])])
+    sale = best >= reserve
+    payment = np.maximum(reserve, second)
+    payment = np.where(sale, np.maximum(payment, 0.0), 0.0)
+    return np.where(sale, winner, -1), payment
+
+
+@pytest.mark.parametrize("reserves", [(0.0,), (0.4,), (), (0.4, 0.9, 0.0)],
+                         ids=["0", "0.4", "none", "three"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_second_price_is_lazy_vcg_with_its_first_reserve_bit_for_bit(reserves, k):
+    # a whole chunk of rounds; bids tie each other and the reserve 0.4, and
+    # take -0.0 and +-inf; only the first of three reserves counts
+    levels = np.array([-np.inf, -1.0, -0.0, 0.0, 0.4, 0.5, 1.0, np.inf])
+    rows = np.random.default_rng(k).choice(levels, size=(k, 1 << 16))
+    cfg = mech.MechanismConfig("second-price", reserves=reserves)
+    for bids in (rows.T, np.ascontiguousarray(rows.T)):
+        for got, want in zip(mech._outcomes(bids, cfg), own_second_price_branch(bids, cfg)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 # ----------------------------------------------------------------------
 # Monte Carlo through the kernel branches the README configs never run
 # ----------------------------------------------------------------------
