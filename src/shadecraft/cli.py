@@ -1,14 +1,15 @@
 """Experiment runner: reproduces the desk-scale results as CSV/JSON files.
 
-One JSON config file per invocation. `_get` reads and type-checks each field
-once, by `dist._check`, the type rule the model and strategy parsers use too;
-`_build` turns a library refusal of a sub-config into a ConfigError that
-names its path. Each command registers only the flags that override fields it
-reads. `main` is the one error boundary: a refused config, including a library
-precondition that fails while a command runs, exits 2 with `config error: ...`
-on stderr and writes no output file; an optimizer failure exits 3.
-Randomized outputs embed (seed, version) and are byte-identical for any
-worker count.
+One JSON config file per invocation. `dist._get`, the one config-field
+reader, reads and type-checks each field once, here and in the model and
+strategy parsers; `_build` turns a library refusal of a sub-config into a
+ConfigError that names its path, so a refusal reads `bidders[0].strategy:
+alpha: missing required field`. Each command registers only the flags that
+override fields it reads. `main` is the one error boundary: a refused config,
+including a library precondition that fails while a command runs, exits 2
+with `config error: ...` on stderr and writes no output file; an optimizer
+failure exits 3. Randomized outputs embed (seed, version) and are
+byte-identical for any worker count.
 """
 
 import argparse
@@ -19,10 +20,9 @@ import sys
 import numpy as np
 
 from . import __version__, dist, mech, opt, payoff, shade
-from .dist import _check
+from .dist import _REQUIRED, _check, _get
 from .errors import ConfigError, OptimizationError, ShadecraftError
 
-_REQUIRED = object()
 _UNIFORM = {"kind": "gp", "mu": 0.0, "sigma": 1.0, "xi": -1.0}  # the default value law
 
 
@@ -41,19 +41,6 @@ def _write_csv(path, header, rows):
 
 def _write_json(path, obj):
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
-
-
-def _get(cfg, field, kind, default=_REQUIRED):
-    """The value at the dotted config path `field`, checked as a `kind`;
-    `default` when it is absent, and required without one."""
-    parent, _, key = field.rpartition(".")
-    if not isinstance(cfg, dict):
-        raise ConfigError(parent, "must be an object")
-    if key not in cfg:
-        if default is _REQUIRED:
-            raise ConfigError(field, "missing required field")
-        return default
-    return _check(cfg[key], kind, field)
 
 
 def _build(make, path, *args):
@@ -241,12 +228,14 @@ def cmd_bsp_opt(cfg):
 
 def _mechanism(mcfg, bid_models):
     """The seller: the reserves/boosts the config gives, else fitted to the
-    bids. Field names are relative: _build prefixes "mechanism"."""
+    bids. Second price takes one reserve: a number, "monopoly" (the first
+    bidder's monopoly price) or 0. Field names are relative: _build prefixes
+    "mechanism"."""
     kind = _get(mcfg, "kind", str)
     if kind == "second-price" and mcfg.get("reserve") == "monopoly":
-        return mech.fit_mechanism(kind, bid_models, mech.fit_monopoly_reserves(bid_models)[0])
+        return mech.MechanismConfig(kind, reserves=(bid_models[0].monopoly_price(),))
     if kind == "second-price":
-        return mech.fit_mechanism(kind, bid_models, _get(mcfg, "reserve", float, None))
+        return mech.MechanismConfig(kind, reserves=(_get(mcfg, "reserve", float, 0.0),))
     if kind in ("vcg-lazy", "vcg-eager") and "reserves" in mcfg:
         return mech.MechanismConfig(kind, reserves=_get(mcfg, "reserves", [float]))
     if kind == "boosted-second-price" and "boosts" in mcfg:

@@ -708,19 +708,25 @@ def _check(value, kind, field):
     return float(value) if kind is float else value
 
 
-def _field(cfg: dict, name, kind=float):
-    """cfg[name] checked as a `kind` for the config parsers; a missing field, or
-    a value _check refuses, raises InvalidParams naming the field."""
-    if name not in cfg:
-        raise InvalidParams(f"missing field {name!r}")
-    try:
-        return _check(cfg[name], kind, name)
-    except ConfigError:
-        raise InvalidParams(f"invalid value for field {name!r}: {cfg[name]!r}") from None
+_REQUIRED = object()
+
+
+def _get(cfg, field, kind, default=_REQUIRED):
+    """The value at the dotted config path `field`, checked as a `kind`;
+    `default` when it is absent, and required without one. The one reader of
+    config fields: the command line's and the config parsers'."""
+    parent, _, key = field.rpartition(".")
+    if not isinstance(cfg, dict):
+        raise ConfigError(parent, "must be an object")
+    if key not in cfg:
+        if default is _REQUIRED:
+            raise ConfigError(field, "missing required field")
+        return default
+    return _check(cfg[key], kind, field)
 
 
 def _gp_params(cfg: dict) -> GPParams:
-    return GPParams(*(_field(cfg, name) for name in ("mu", "sigma", "xi")))
+    return GPParams(*(_get(cfg, name, float) for name in ("mu", "sigma", "xi")))
 
 
 def model_from_config(cfg: dict) -> DistributionModel:
@@ -729,6 +735,6 @@ def model_from_config(cfg: dict) -> DistributionModel:
     if kind == "gp":
         return GPDistribution(_gp_params(cfg))
     if kind == "grid":
-        return make_grid(_field(cfg, "knots", [float]), _field(cfg, "cdf", [float]),
-                         _field(cfg, "pdf", [float]) if "pdf" in cfg else None)
+        return make_grid(_get(cfg, "knots", [float]), _get(cfg, "cdf", [float]),
+                         _get(cfg, "pdf", [float], None))
     raise InvalidParams(f"unknown distribution kind: {kind!r}")

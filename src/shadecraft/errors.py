@@ -29,7 +29,7 @@ class OptimizationError(ShadecraftError, RuntimeError):
     """An optimizer failed to produce a usable result."""
 
 
-class ConfigError(ShadecraftError, ValueError):
+class ConfigError(InvalidParams):
     """Invalid experiment configuration; carries a dotted field path."""
 
     def __init__(self, field: str, message: str):

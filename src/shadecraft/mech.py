@@ -41,10 +41,10 @@ class MechanismConfig:
         object.__setattr__(self, "bid_models", tuple(self.bid_models))
         if self.kind not in self._KINDS:
             raise InvalidParams(f"unknown mechanism kind: {self.kind!r}")
-        if any(r < 0 for r in self.reserves):
+        if not all(r >= 0 for r in self.reserves):
             raise InvalidParams("reserves must be >= 0")
-        if self.kind == "boosted-second-price" and any(s <= 0 for s in self.boosts):
-            raise InvalidParams("boosts must be positive")
+        if self.kind == "boosted-second-price" and not all(0 < s < np.inf for s in self.boosts):
+            raise InvalidParams("boosts must be positive and finite")
         if self.kind == "myerson":
             for m in self.bid_models:
                 if not m.is_regular:
@@ -92,7 +92,8 @@ def _scored_outcomes(bids, cfg: MechanismConfig):
     """Vectorized per-round winner (-1 for no sale), payment, and the scores
     the allocation maximizes, one row per bidder (virtualized bids for
     myerson, boosted margins for boosted second price, None for the other
-    kinds). Second price is lazy VCG. InvalidParams if any bid is NaN."""
+    kinds). Second price is lazy VCG, and eager VCG is lazy VCG on the bids
+    that clear their reserves. InvalidParams if any bid is NaN."""
     if np.isnan(bids).any():
         raise InvalidParams("bids must not be NaN")
     n, k = bids.shape
@@ -121,13 +122,11 @@ def _scored_outcomes(bids, cfg: MechanismConfig):
         winner, best, second = _rank(w)
         sale = best >= 0
         payment = r[winner] + np.maximum(0.0, second) / s[winner]
-    elif kind in ("vcg-lazy", "second-price"):
+    elif kind in ("vcg-lazy", "vcg-eager", "second-price"):
+        if kind == "vcg-eager":  # only the bids that clear their reserves are ranked
+            cols = [np.where(c >= ri, c, -np.inf) for c, ri in zip(cols, r)]
         winner, best, second = _rank(cols)
         sale = best >= r[winner]
-        payment = np.maximum(r[winner], second)
-    elif kind == "vcg-eager":
-        winner, best, second = _rank([np.where(c >= ri, c, -np.inf) for c, ri in zip(cols, r)])
-        sale = best > -np.inf
         payment = np.maximum(r[winner], second)
     elif kind == "first-price":
         winner, payment, _ = _rank(cols)
@@ -197,13 +196,8 @@ def run_second_price(bids, reserve: float = 0.0) -> AuctionOutcome:
 
 
 def fit_monopoly_reserves(bid_models) -> tuple:
-    """Per-bidder monopoly price psi_i^{-1}(0)."""
-    out = []
-    for m in bid_models:
-        if not m.is_regular:
-            raise NonRegular("monopoly reserve requires a regular bid distribution")
-        out.append(float(m.monopoly_price()))
-    return tuple(out)
+    """Per-bidder monopoly price psi_i^{-1}(0); NonRegular on a non-regular grid law."""
+    return tuple(float(m.monopoly_price()) for m in bid_models)
 
 
 def fit_gp_quantile(model: DistributionModel):
@@ -261,7 +255,7 @@ def fit_bsp(bid_models):
     return tuple(1.0 - p.xi for p in fits), tuple(p.sigma / (1.0 - p.xi) for p in fits)
 
 
-def fit_mechanism(kind: str, bid_models, reserve: float | None = None) -> MechanismConfig:
+def fit_mechanism(kind: str, bid_models) -> MechanismConfig:
     """Seller's revenue-maximizing configuration, computed from exact bid models."""
     if kind == "myerson":
         return MechanismConfig("myerson", bid_models=tuple(bid_models))
@@ -270,9 +264,6 @@ def fit_mechanism(kind: str, bid_models, reserve: float | None = None) -> Mechan
     if kind == "boosted-second-price":
         boosts, reserves = fit_bsp(bid_models)
         return MechanismConfig(kind, reserves=reserves, boosts=boosts)
-    if kind == "first-price":
+    if kind in ("first-price", "second-price"):  # second price without a reserve
         return MechanismConfig(kind)
-    if kind == "second-price":
-        r = 0.0 if reserve is None else float(reserve)
-        return MechanismConfig(kind, reserves=(r,))
     raise InvalidParams(f"unknown mechanism kind: {kind!r}")

@@ -68,13 +68,11 @@ class CompetitionDistribution:
     """Law of Z = max(0, psi_i(B_i)) over competitors' bid models.
 
     cdf(t) is 0 for t < 0 and the product of per-competitor virtualized-bid
-    cdfs for t >= 0; the jump at 0 has mass atom0 = prod F_{B_i}(r*_i).
+    cdfs for t >= 0; the jump at 0 has mass atom0 = prod F_{B_i}(r*_i). Reading
+    atom0 inverts each virtual value, which refuses a non-regular grid law.
     """
 
     def __init__(self, bid_models):
-        for m in bid_models:
-            if not m.is_regular:
-                raise NonRegular("competition requires regular bid distributions")
         self.models = tuple(bid_models)
         zero = np.zeros(1)
         self.atom0 = float(_law_of_max(zero, lambda m: m._virtual_law(zero), self.models)[0][0])

@@ -13,7 +13,7 @@ strategy's kinks as extra knots.
 import numpy as np
 
 from . import _quad
-from .dist import (DistributionModel, GPDistribution, GPParams, GridFunction, _field,
+from .dist import (DistributionModel, GPDistribution, GPParams, GridFunction, _get,
                    _gp_params, make_gp, push_forward)
 from .errors import InvalidParams, NonMonotone, NonRegular
 
@@ -226,8 +226,8 @@ def one_vs_uniform_shading(model: DistributionModel, k: int,
     """
     if k < 2:
         raise InvalidParams("k must be >= 2")
-    if eps < 0:
-        raise InvalidParams("eps must be >= 0")
+    if not 0 <= eps < np.inf:
+        raise InvalidParams("eps must be finite and >= 0")
     lo, hi = model.support
     bound = (k + 1) / (k - 1)
     if lo < -1e-12 or hi > bound + 1e-12:
@@ -269,12 +269,12 @@ def strategy_from_config(cfg: dict, base: DistributionModel) -> ShadingStrategy:
     if kind == "truthful":
         return truthful(base)
     if kind == "linear":
-        return linear_shading(base, _field(cfg, "alpha"))
+        return linear_shading(base, _get(cfg, "alpha", float))
     if kind == "equilibrium":
-        return equilibrium_shading(base, _field(cfg, "k", int))
+        return equilibrium_shading(base, _get(cfg, "k", int))
     if kind == "one-vs-uniform":
-        eps = _field(cfg, "eps") if "eps" in cfg else DEFAULT_EPS
-        return one_vs_uniform_shading(base, _field(cfg, "k", int), eps)
+        return one_vs_uniform_shading(base, _get(cfg, "k", int),
+                                      _get(cfg, "eps", float, DEFAULT_EPS))
     if kind == "gp-reparam":
         return gp_reparam_shading(base, _gp_params(cfg))
     raise InvalidParams(f"unknown strategy kind: {kind!r}")

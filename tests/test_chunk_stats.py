@@ -55,7 +55,8 @@ CASES = {
     "vcg-lazy": (3, truthful, lambda bm: mech.fit_mechanism("vcg-lazy", bm)),
     "vcg-eager": (3, truthful, lambda bm: mech.fit_mechanism("vcg-eager", bm)),
     "first-price": (3, equilibrium, lambda bm: mech.fit_mechanism("first-price", bm)),
-    "second-price": (4, truthful, lambda bm: mech.fit_mechanism("second-price", bm, 0.4)),
+    "second-price": (4, truthful, lambda bm: mech.MechanismConfig(
+        "second-price", reserves=(0.4,))),
     # reserves above every bid: no round makes a sale, every winner is -1
     "vcg-lazy-no-sale": (3, truthful, lambda bm: mech.MechanismConfig(
         "vcg-lazy", reserves=(5.0, 5.0, 5.0))),
@@ -65,8 +66,8 @@ CASES = {
     "vcg-eager-one-bidder": (1, truthful, lambda bm: mech.MechanismConfig(
         "vcg-eager", reserves=(0.6,))),
     "myerson-one-bidder": (1, truthful, lambda bm: mech.fit_mechanism("myerson", bm)),
-    "second-price-one-bidder": (1, truthful, lambda bm: mech.fit_mechanism(
-        "second-price", bm, 0.3)),
+    "second-price-one-bidder": (1, truthful, lambda bm: mech.MechanismConfig(
+        "second-price", reserves=(0.3,))),
 }
 
 

@@ -226,6 +226,26 @@ class TestSimulate:
         report = self._report(tmp_path, {"kind": "second-price", "reserve": "monopoly"})
         self._within_3_se(report, 11 / 192, 17 / 32)
 
+    def test_second_price_monopoly_reserve_reads_only_the_first_bidder(self, tmp_path):
+        # bidder 1's bimodal law is not regular, but the one anonymous reserve
+        # is bidder 0's monopoly price 1/2: the same report, byte for byte
+        x = np.linspace(0.0, 1.0, 257)
+        f = x * (np.exp(-((x - 0.2) / 0.08) ** 2) + np.exp(-((x - 0.8) / 0.08) ** 2) + 0.05)
+        cdf = np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) / 2 * np.diff(x))])
+        bimodal = {"kind": "grid", "knots": x.tolist(), "cdf": (cdf / cdf[-1]).tolist(),
+                   "pdf": (f / cdf[-1]).tolist()}
+        assert not dist.model_from_config(bimodal).is_regular
+        reports = []
+        for reserve in ("monopoly", 0.5):
+            out = tmp_path / f"sim-{reserve}.json"
+            cfg = write_config(tmp_path, "bimodal.json", {
+                "mechanism": {"kind": "second-price", "reserve": reserve},
+                "bidders": [{"value": UNIFORM}, {"value": bimodal}],
+                "rounds": 20000, "seed": 5, "out": str(out)})
+            assert cli.main(["simulate", cfg]) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
     def test_second_price_numeric_reserve(self, tmp_path):
         report = self._report(tmp_path, {"kind": "second-price", "reserve": 0.25})
         self._within_3_se(report, 1 / 12 - 0.25 ** 3 / 3 + 0.25 ** 4 / 4, 261 / 512)
@@ -333,6 +353,17 @@ REFUSED = {
     "vcg-reserves-length": ("simulate", {
         "mechanism": {"kind": "vcg-lazy", "reserves": [0.5]}, "bidders": BIDDERS,
         "seed": 1}),
+    # NaN slips through a "< 0" test; each is refused before Monte Carlo runs
+    "vcg-reserve-nan": ("simulate", {
+        "mechanism": {"kind": "vcg-lazy", "reserves": [float("nan"), 0.0, 0.0]},
+        "bidders": BIDDERS, "seed": 1}),
+    "second-price-reserve-nan": ("simulate", {
+        "mechanism": {"kind": "second-price", "reserve": float("nan")}, "bidders": BIDDERS,
+        "seed": 1}),
+    "bsp-boost-inf": ("simulate", {
+        "mechanism": {"kind": "boosted-second-price", "boosts": [float("inf"), 1.0, 1.0]},
+        "bidders": BIDDERS, "seed": 1}),
+    "one-strategic-eps-nan": ("one-strategic-demo", {"k": 4, "eps": float("nan")}),
     "vcg-reserves-not-numbers": ("simulate", {
         "mechanism": {"kind": "vcg-eager", "reserves": "high"}, "bidders": BIDDERS,
         "seed": 1}),
@@ -387,7 +418,7 @@ class TestRefusedConfigs:
         command, payload = REFUSED["linear-without-alpha"]
         cfg = write_config(tmp_path, "c.json", {**payload, "out": str(tmp_path / "o")})
         assert cli.main([command, cfg]) == 2
-        assert "bidders[0].strategy: missing field 'alpha'" in capsys.readouterr().err
+        assert "bidders[0].strategy: alpha: missing required field" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command,flag", [
         ("payoff-curve", "--seed"), ("one-strategic-demo", "--workers"),

@@ -4,7 +4,7 @@ import pytest
 
 from shadecraft import dist, shade
 from shadecraft._quad import integrate
-from shadecraft.errors import InvalidParams, NonMonotone, OutOfSupport
+from shadecraft.errors import ConfigError, InvalidParams, NonMonotone, OutOfSupport
 
 
 def numeric_virtual_value(model, x, dx=1e-6):
@@ -425,5 +425,5 @@ class TestConfig:
         ({"kind": "grid", "knots": [0, 1, 2, 3], "cdf": [0, 0.5, 0.9, True]}, "cdf"),
     ])
     def test_bad_field_is_named(self, cfg, field):
-        with pytest.raises(InvalidParams, match=f"field '{field}'"):
+        with pytest.raises(ConfigError, match=rf"^{field}\b"):
             dist.model_from_config(cfg)

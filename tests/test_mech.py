@@ -1,12 +1,20 @@
 import numpy as np
 import pytest
 
-from shadecraft import dist, mech, shade
+from shadecraft import dist, mech, payoff, shade
 from shadecraft.errors import InvalidParams, NonRegular
 
 
 def uniform_models(k):
     return tuple(dist.make_uniform() for _ in range(k))
+
+
+def bimodal_grid(n=257):
+    """A non-regular law on [0, 1]: the density x (two bumps + 0.05), tabulated."""
+    x = np.linspace(0.0, 1.0, n)
+    f = x * (np.exp(-((x - 0.2) / 0.08) ** 2) + np.exp(-((x - 0.8) / 0.08) ** 2) + 0.05)
+    cdf = np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) / 2 * np.diff(x))])
+    return dist.make_grid(x, cdf / cdf[-1], f / cdf[-1])
 
 
 @pytest.fixture
@@ -119,6 +127,13 @@ class TestFits:
         s = shade.linear_shading(dist.make_uniform(), 0.7)
         assert mech.fit_monopoly_reserves([s.bid_distribution()])[0] == pytest.approx(0.35)
 
+    @pytest.mark.parametrize("refuse", [mech.fit_monopoly_reserves,
+                                        payoff.competition_distribution])
+    def test_bimodal_bid_law_is_refused_by_its_inverse_virtual_value(self, refuse):
+        # the regularity check is the inverse virtual value's own NonRegular
+        with pytest.raises(NonRegular):
+            refuse([dist.make_uniform(), bimodal_grid()])
+
     def test_fit_bsp_uniform_exact(self):
         boosts, reserves = mech.fit_bsp(uniform_models(1))
         assert boosts[0] == pytest.approx(2.0, abs=1e-8)
@@ -202,6 +217,25 @@ class TestConfigValidation:
     def test_unknown_kind(self):
         with pytest.raises(InvalidParams):
             mech.MechanismConfig("dutch")
+
+    @pytest.mark.parametrize("run", [
+        lambda bids: mech.run_vcg_lazy(bids, (np.nan, 0.0)),
+        lambda bids: mech.run_vcg_eager(bids, (np.nan, 0.0)),
+        lambda bids: mech.run_second_price(bids, np.nan)], ids=["lazy", "eager", "second"])
+    def test_nan_reserve_rejected(self, run):
+        with pytest.raises(InvalidParams, match="reserves"):
+            run([0.9, 0.5])
+
+    @pytest.mark.parametrize("boost", [np.inf, np.nan])
+    def test_non_finite_boost_rejected(self, boost):
+        with pytest.raises(InvalidParams, match="boosts"):
+            mech.run_bsp([0.5, 0.4], (boost, 1.0), (0.5, 0.0))
+
+    def test_infinite_reserve_never_sells(self):
+        # +inf stays a valid reserve: that bidder never clears it
+        assert mech.run_vcg_lazy([0.9, 0.5], (np.inf, 0.0)).winner is None
+        assert mech.run_vcg_eager([0.9, 0.5], (np.inf, 0.0)) == mech.AuctionOutcome(1, 0.0)
+        assert mech.run_second_price([0.9, 0.5], np.inf).winner is None
 
     def test_outcome_serialization(self):
         out = mech.run_first_price([0.2, 0.9])

@@ -266,6 +266,34 @@ def test_second_price_is_lazy_vcg_with_its_first_reserve_bit_for_bit(reserves, k
             assert got.tobytes() == want.tobytes()
 
 
+def own_eager_branch(bids, cfg):
+    """The kernel's vcg-eager branch as it was written before eager VCG became
+    lazy VCG on reserve-masked bids: the byte reference for the fold."""
+    r = np.asarray(cfg.reserves)
+    winner, best, second = mech._rank([np.where(bids[:, i] >= r[i], bids[:, i], -np.inf)
+                                       for i in range(bids.shape[1])])
+    sale = best > -np.inf
+    payment = np.maximum(r[winner], second)
+    payment = np.where(sale, np.maximum(payment, 0.0), 0.0)
+    return np.where(sale, winner, -1), payment
+
+
+@pytest.mark.parametrize("reserves", ["0", "0.4", "inf", "mixed"])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_eager_vcg_is_lazy_vcg_on_masked_bids_bit_for_bit(reserves, k):
+    # a whole chunk of rounds; bids tie each other and the reserves, and take
+    # -0.0 and +-inf; an infinite reserve is cleared only by an infinite bid
+    levels = np.array([-np.inf, -1.0, -0.0, 0.0, 0.3, 0.4, 0.5, 1.0, np.inf])
+    rows = np.random.default_rng(k).choice(levels, size=(k, 1 << 16))
+    r = {"0": (0.0,) * k, "0.4": (0.4,) * k, "inf": (np.inf,) * k,
+         "mixed": (0.3, 0.0, np.inf, 0.4, -0.0)[:k]}[reserves]
+    cfg = mech.MechanismConfig("vcg-eager", reserves=r)
+    for bids in (rows.T, np.ascontiguousarray(rows.T)):
+        for got, want in zip(mech._outcomes(bids, cfg), own_eager_branch(bids, cfg)):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+
 # ----------------------------------------------------------------------
 # Monte Carlo through the kernel branches the README configs never run
 # ----------------------------------------------------------------------

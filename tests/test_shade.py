@@ -3,7 +3,7 @@ import pytest
 
 from shadecraft import dist, shade
 from shadecraft._quad import integrate
-from shadecraft.errors import InvalidParams, NonMonotone
+from shadecraft.errors import ConfigError, InvalidParams, NonMonotone
 
 
 @pytest.fixture
@@ -210,6 +210,11 @@ class TestOneVsUniform:
         with pytest.raises(InvalidParams):
             shade.one_vs_uniform_shading(uniform, 4, eps=0.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_eps_rejected(self, uniform, eps):
+        with pytest.raises(InvalidParams, match="eps"):
+            shade.one_vs_uniform_shading(uniform, 4, eps=eps)
+
 
 class TestGPReparam:
     def test_identity_map(self, uniform):
@@ -292,5 +297,5 @@ class TestStrategyInvariants:
         ({"kind": "one-vs-uniform", "k": 4, "eps": "1e-3"}, "eps"),
     ])
     def test_bad_field_is_named(self, uniform, cfg, field):
-        with pytest.raises(InvalidParams, match=f"field '{field}'"):
+        with pytest.raises(ConfigError, match=rf"^{field}\b"):
             shade.strategy_from_config(cfg, uniform)
