@@ -5,7 +5,7 @@ __version__ = "0.1.0"
 
 from .dist import (GPParams, DistributionModel, GPDistribution, GridDistribution,
                    GridFunction, make_gp, make_uniform, make_grid,
-                   transform_distribution, conditional_tail_expectation,
+                   push_forward, conditional_tail_expectation,
                    invert_virtual_from_samples, invert_virtual_from_distribution,
                    model_from_config)
 from .shade import (ShadingStrategy, LinearShading, GridShading, GPReparamShading,

@@ -245,8 +245,6 @@ class GridFunction:
 class DistributionModel:
     """Common surface of value/bid distribution models."""
 
-    kind = "abstract"
-
     @property
     def support(self):
         raise NotImplementedError
@@ -398,8 +396,6 @@ def _check_within(v, bounds, tol, what):
 class GPDistribution(DistributionModel):
     """Generalized Pareto model with closed-form virtual-value calculus."""
 
-    kind = "generalized-pareto"
-
     def __init__(self, params: GPParams):
         self.params = params
 
@@ -506,8 +502,6 @@ class GPDistribution(DistributionModel):
 
 class GridDistribution(DistributionModel):
     """Distribution backed by tabulated cdf (and optionally pdf) values."""
-
-    kind = "grid-backed"
 
     def __init__(self, knots, cdf_values, pdf_values=None):
         knots = np.asarray(knots, dtype=float)
@@ -636,15 +630,6 @@ def push_forward(model: DistributionModel, fn, derivative, xs) -> GridDistributi
     if np.any(slope <= 0):
         raise NonMonotone("beta must be strictly increasing on the support")
     return GridDistribution(fn(xs), model.cdf(xs), model.pdf(xs) / slope)
-
-
-def transform_distribution(model: DistributionModel, beta: GridFunction) -> GridDistribution:
-    """Law of B = beta(X), X ~ model, pushed forward on default_grid(beta.knots),
-    or on default_grid() when beta has over 4 GRID_N knots inside it."""
-    xs = model.default_grid()
-    if np.count_nonzero((beta.knots > xs[0]) & (beta.knots < xs[-1])) <= 4 * GRID_N:
-        xs = model.default_grid(beta.knots)
-    return push_forward(model, beta, beta.derivative, xs)
 
 
 def conditional_tail_expectation(model: DistributionModel, h, x) -> float:

@@ -30,9 +30,7 @@ class OptimizationError(ShadecraftError, RuntimeError):
 
 
 class ConfigError(InvalidParams):
-    """Invalid experiment configuration; carries a dotted field path."""
+    """Invalid experiment configuration, read as "<dotted field path>: <message>"."""
 
     def __init__(self, field: str, message: str):
-        self.field = field
-        self.message = message
         super().__init__(f"{field}: {message}")

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .dist import DistributionModel, GPParams, _each_distinct
+from .dist import DistributionModel, GPDistribution, GPParams, _each_distinct
 from .errors import FitFailure, InvalidParams, NonRegular
 
 _FIT_NODES = (np.arange(64) + 0.5) / 64  # probability nodes for quantile least squares
@@ -248,11 +248,12 @@ def fit_gp_quantile(model: DistributionModel):
 
 
 def fit_bsp(bid_models):
-    """Per-bidder GP quantile fit; returns (boosts, reserves) with
-    s_i = 1 - xi_i and r_i = sigma_i / (1 - xi_i). Bidders with one law_key (one
-    repeated model, or equal GP models built apart) share one fit."""
-    fits = _each_distinct(lambda m: fit_gp_quantile(m)[0], bid_models)
-    return tuple(1.0 - p.xi for p in fits), tuple(p.sigma / (1.0 - p.xi) for p in fits)
+    """Per-bidder GP quantile fit; returns (boosts, reserves): each fitted law's
+    psi' = 1 - xi_i and monopoly price sigma_i / (1 - xi_i). Bidders with one
+    law_key (one repeated model, or equal GP models built apart) share one fit."""
+    fits = _each_distinct(lambda m: GPDistribution(fit_gp_quantile(m)[0]), bid_models)
+    reserves = tuple(g.monopoly_price() for g in fits)
+    return tuple(g.virtual_value_slope(r) for g, r in zip(fits, reserves)), reserves
 
 
 def fit_mechanism(kind: str, bid_models) -> MechanismConfig:

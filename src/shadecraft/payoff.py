@@ -440,9 +440,7 @@ def _one_minus_exp_with_slope(w, exp_w, expm1_w):
 
 
 def _grad_psi_of_s(p: GPParams, s):
-    """Rows [d/dmu, d/dsigma, d/dxi] of psi_p(x_p) at s = -log(1 - F1(x1))."""
-    if p.xi == 0:
-        raise InvalidParams("gradient requires xi < 0")
+    """Rows [d/dmu, d/dsigma, d/dxi] of psi_p(x_p) at s = -log(1 - F1(x1)), xi < 0."""
     s = np.asarray(s, dtype=float)
     w = p.xi * s
     exp_w, expm1_w = np.exp(w), np.expm1(w)

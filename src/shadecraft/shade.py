@@ -256,9 +256,9 @@ def gp_simple_vs_uniform(sigma1: float, xi1: float, k: int) -> ShadingStrategy:
     against k truthful Unif[0,1] adversaries: slope k / ((k+1)(1-xi1))."""
     if k < 1:
         raise InvalidParams("k must be >= 1")
-    if abs(sigma1 / (1.0 - xi1) - 1.0 / k) >= 1e-9:
-        raise InvalidParams("requires sigma1/(1-xi1) == 1/k")
     base = make_gp(0.0, sigma1, xi1)
+    if abs(base.mean() - 1.0 / k) >= 1e-9:
+        raise InvalidParams("requires sigma1/(1-xi1) == 1/k")
     slope = k / ((k + 1) * (1.0 - xi1))
     return LinearShading(base, slope)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from shadecraft import cli, dist, shade
+from shadecraft.errors import OptimizationError
 
 
 def write_config(tmp_path, name, payload):
@@ -163,6 +164,31 @@ class TestBspOpt:
             "value": {"kind": "gp", "mu": 0, "sigma": 1, "xi": -1},
             "init": [0.0, -1.0, -1.0], "out": str(out)})
         assert cli.main(["bsp-opt", cfg]) == 2
+        assert not out.exists()
+
+    def test_competitor_list_equals_k(self, tmp_path):
+        # README bsp.json settings: two listed uniforms are {"k": 2}, byte for byte
+        outputs = []
+        for name, competitors in (("k", {"k": 2}), ("list", [UNIFORM, UNIFORM])):
+            out = tmp_path / f"bsp-{name}.json"
+            cfg = write_config(tmp_path, f"{name}.json", {
+                "value": UNIFORM, "competitors": competitors,
+                "init": [0.0, 0.3333333333, -1.0],
+                "bounds": [[0.0, 0.0], [0.05, 1.5], [-3.0, -1e-6]],
+                "restarts": 0, "point_mass": False, "seed": 3, "out": str(out)})
+            assert cli.main(["bsp-opt", cfg]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_optimization_error_exits_3(self, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OptimizationError("no start converged")
+
+        monkeypatch.setattr(cli.opt, "maximize_bsp", fail)
+        out = tmp_path / "bsp.json"
+        cfg = write_config(tmp_path, "c.json", {"value": UNIFORM, "out": str(out)})
+        assert cli.main(["bsp-opt", cfg]) == 3
+        assert capsys.readouterr().err == "optimizer failure: no start converged\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("field,value", [("restarts", -1), ("max_iter", 0)])
@@ -380,6 +406,7 @@ REFUSED = {
     "workers-negative": ("equilibrium-demo", {"k": 2, "seed": 1, "workers": -3}),
     "workers-zero": ("simulate", {
         "mechanism": {"kind": "myerson"}, "bidders": BIDDERS, "seed": 1, "workers": 0}),
+    "bidders-empty": ("simulate", {"mechanism": {"kind": "myerson"}, "bidders": [], "seed": 1}),
 }
 
 

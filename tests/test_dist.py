@@ -203,20 +203,20 @@ class TestTransformDistribution:
     def test_linear_shading_virtual_value(self):
         u = dist.make_uniform()
         beta = dist.GridFunction.from_callable(lambda x: 0.5 * x, 0, 1, 512)
-        b = dist.transform_distribution(u, beta)
+        b = dist.push_forward(u, beta, beta.derivative, u.default_grid(beta.knots))
         assert b.virtual_value(0.5 * 0.75) == pytest.approx(0.25, abs=1e-8)
 
     def test_identity_preserves_virtual_value(self):
         u = dist.make_uniform()
         beta = dist.GridFunction.from_callable(lambda x: x, 0, 1, 512)
-        b = dist.transform_distribution(u, beta)
+        b = dist.push_forward(u, beta, beta.derivative, u.default_grid(beta.knots))
         xs = np.linspace(0.05, 0.95, 40)
         np.testing.assert_allclose(b.virtual_value(xs), u.virtual_value(xs), atol=1e-8)
 
     def test_affine_target(self):
         u = dist.make_uniform()
         beta = dist.GridFunction.from_callable(lambda x: (1 + x) / 3, 0, 1, 512)
-        b = dist.transform_distribution(u, beta)
+        b = dist.push_forward(u, beta, beta.derivative, u.default_grid(beta.knots))
         for x in (0.25, 0.5, 0.75):
             assert b.virtual_value(beta(x)) == pytest.approx(2 * x / 3, abs=1e-8)
 
@@ -225,7 +225,7 @@ class TestTransformDistribution:
         m = dist.make_gp(0, 1, -0.5)
         beta = dist.GridFunction.from_callable(lambda x: x + 0.2 * np.sin(x) + 0.1 * x ** 2,
                                                0, m.grid_upper(), 1024)
-        b = dist.transform_distribution(m, beta)
+        b = dist.push_forward(m, beta, beta.derivative, m.default_grid(beta.knots))
         xs = np.linspace(0.02, 0.9 * m.grid_upper(), 100)
         lhs = b.virtual_value(beta(xs))
         rhs = beta(xs) + beta.derivative(xs) * (m.virtual_value(xs) - xs)
@@ -265,7 +265,7 @@ class TestGridModel:
     def test_quantile_roundtrip(self):
         u = dist.make_uniform()
         beta = dist.GridFunction.from_callable(lambda x: (1 + x) / 2, 0, 1, 512)
-        b = dist.transform_distribution(u, beta)
+        b = dist.push_forward(u, beta, beta.derivative, u.default_grid(beta.knots))
         xs = np.linspace(0.51, 0.99, 25)
         np.testing.assert_allclose(b.quantile(b.cdf(xs)), xs, atol=1e-9)
         us = np.linspace(0.0, 1.0, 33)
@@ -274,11 +274,19 @@ class TestGridModel:
     def test_grid_sampling_ks(self):
         u = dist.make_uniform()
         beta = dist.GridFunction.from_callable(lambda x: x ** 2 + x, 0, 1, 512)
-        b = dist.transform_distribution(u, beta)
+        b = dist.push_forward(u, beta, beta.derivative, u.default_grid(beta.knots))
         n = 10 ** 5
         s = np.sort(b.sample(n, seed=5))
         d = np.abs(np.arange(1, n + 1) / n - b.cdf(s)).max()
         assert d < 0.01
+
+    def test_uniform_grid_mean_and_tail_expectation(self):
+        xs = np.linspace(0.0, 1.0, 129)
+        g = dist.make_grid(xs, xs, np.ones_like(xs))
+        assert g.mean() == pytest.approx(0.5, abs=1e-15)
+        assert dist.conditional_tail_expectation(g, None, 0.3) == pytest.approx(0.65, abs=1e-15)
+        # no tail above the top: E[X | X >= 1] is the top itself
+        assert dist.conditional_tail_expectation(g, None, 1.0) == 1.0
 
     def test_non_regular_grid_rejected_for_inverse(self):
         # bimodal-ish density gives a non-monotone virtual value
@@ -405,7 +413,7 @@ class TestConfig:
         xs = np.linspace(0, 1, 64)
         m = dist.model_from_config({"kind": "grid", "knots": xs.tolist(),
                                     "cdf": (xs ** 2).tolist()})
-        assert m.kind == "grid-backed"
+        assert isinstance(m, dist.GridDistribution)
         assert m.cdf(0.5) == pytest.approx(0.25, abs=1e-6)
 
     def test_unknown_kind(self):

@@ -134,6 +134,13 @@ class TestFits:
         with pytest.raises(NonRegular):
             refuse([dist.make_uniform(), bimodal_grid()])
 
+    def test_fit_gp_quantile_exponential_is_exact(self):
+        # the bounded search stops short of its end xi = 0; the fit takes the end
+        params, rmse = mech.fit_gp_quantile(dist.make_gp(0, 1, 0))
+        assert params.xi == 0.0
+        assert params.sigma == pytest.approx(1.0, rel=1e-12)
+        assert rmse == pytest.approx(0.0, abs=1e-12)
+
     def test_fit_bsp_uniform_exact(self):
         boosts, reserves = mech.fit_bsp(uniform_models(1))
         assert boosts[0] == pytest.approx(2.0, abs=1e-8)

@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 from scipy.stats import qmc
 
 from shadecraft import _quad, dist, mech, opt, payoff, shade
-from shadecraft.errors import InvalidParams, OutOfSupport
+from shadecraft.errors import InvalidParams, NonMonotone, OutOfSupport
 
 
 KINDS = ["myerson", "vcg-lazy", "vcg-eager"]
@@ -318,6 +318,12 @@ class TestPayoffQuadrature:
         assert with_atom == pytest.approx(229 / 1728, abs=1e-9)
         assert with_atom - without == pytest.approx(1 / 32, abs=1e-9)
 
+    def test_virtualized_bid_that_never_clears_pays_zero(self, z_two_uniform):
+        # h = x - 10 < 0 on the whole support: no value clears, no integral is taken
+        u = dist.make_uniform()
+        s = shade.GridShading(u, lambda x: np.asarray(x, dtype=float) - 10)
+        assert payoff.payoff_quadrature(u, s, z_two_uniform).mean == 0.0
+
 
 class TestMonteCarlo:
     def test_truthful_three_bidders(self):
@@ -413,6 +419,17 @@ class TestMonteCarlo:
         strategies = [shade.truthful(m) for m in models]
         cfg = mech.MechanismConfig("vcg-lazy", reserves=(0.5,))
         with pytest.raises(InvalidParams):
+            payoff.payoff_monte_carlo(models, strategies, cfg, 10, seed=1)
+
+    @pytest.mark.parametrize("cfg,message", [
+        (mech.MechanismConfig("myerson", bid_models=(dist.make_uniform(),)),
+         "one bid model per bidder"),
+        (mech.MechanismConfig("boosted-second-price", boosts=(2.0,), reserves=(0.5, 0.5)),
+         r"one \(boost, reserve\) pair per bidder")])
+    def test_config_for_fewer_bidders_is_refused(self, cfg, message):
+        models = uniforms(2)
+        strategies = [shade.truthful(m) for m in models]
+        with pytest.raises(InvalidParams, match=message):
             payoff.payoff_monte_carlo(models, strategies, cfg, 10, seed=1)
 
 
@@ -578,6 +595,14 @@ class TestDirectionalDerivative:
         zero.derivative = zero
         assert payoff.directional_derivative(u, identity, zero, z_two_uniform) == 0.0
 
+    def test_direction_that_breaks_monotonicity_is_refused(self, z_two_uniform):
+        # beta' = 1 against 1e-6 rho' = 10: beta - 1e-6 rho decreases
+        u = dist.make_uniform()
+        xs = np.linspace(0.0, 1.0, 2048)
+        with pytest.raises(NonMonotone, match="perturbation breaks monotonicity"):
+            payoff.directional_derivative(u, dist.GridFunction(xs, xs),
+                                          dist.GridFunction(xs, 1e7 * xs), z_two_uniform)
+
 
 class TestEquilibriumProperties:
     @pytest.mark.parametrize("k", [2, 3, 5])
@@ -606,6 +631,12 @@ class TestBSPGradient:
         grads = payoff._grad_psi_of_s(p, ss)
         psi = payoff._gp_virtual_of_s(p, ss)
         np.testing.assert_allclose(grads[1], psi / p.sigma, atol=1e-12)
+
+    def test_exponential_shape_is_refused(self, z_two_uniform):
+        # the only guard: grad psi divides by xi
+        with pytest.raises(InvalidParams, match="gradient requires xi < 0"):
+            payoff.bsp_payoff_gradient(dist.make_uniform(), dist.GPParams(0.0, 1.0, 0.0),
+                                       z_two_uniform)
 
     def test_gradient_matches_finite_differences(self, z_two_uniform):
         u = dist.make_uniform()

@@ -3,7 +3,7 @@ import pytest
 
 from shadecraft import dist, shade
 from shadecraft._quad import integrate
-from shadecraft.errors import ConfigError, InvalidParams, NonMonotone
+from shadecraft.errors import ConfigError, InvalidParams, NonMonotone, NonRegular
 
 
 @pytest.fixture
@@ -170,6 +170,15 @@ class TestEquilibriumShading:
         bd = eq.bid_distribution()
         resid = bd.virtual_value_clamped(eq.bid(xs)) - shade.first_price_bid(m, 4)(xs)
         assert np.abs(resid).max() < 1e-5
+
+    def test_non_regular_value_law_is_refused(self):
+        # two density bumps on 400 knots: psi falls between them
+        xs = np.linspace(0.0, 1.0, 400)
+        pdf = 0.2 + 4.0 * np.exp(-200 * (xs - 0.3) ** 2) + 4.0 * np.exp(-200 * (xs - 0.7) ** 2)
+        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * np.diff(xs))])
+        m = dist.make_grid(xs, cdf / cdf[-1], pdf / cdf[-1])
+        with pytest.raises(NonRegular, match="requires a regular value distribution"):
+            shade.equilibrium_shading(m, 3)
 
 
 class TestOneVsUniform:

@@ -16,11 +16,12 @@ from shadecraft.errors import OutOfSupport
 
 ROUNDTRIP_TOL = 1e-8
 _XS = np.linspace(0.0, 1.0, 129)
+_BETA = dist.GridFunction(_XS, _XS ** 2 / 2 + _XS)
 GRID_MODELS = (
     dist.make_grid(_XS, 1.0 - (1.0 - _XS) ** 2, 2.0 * (1.0 - _XS)),  # Beta(1, 2)
     # B = X^2/2 + X for X ~ Unif[0, 1]
-    dist.transform_distribution(dist.make_uniform(),
-                                dist.GridFunction(_XS, _XS ** 2 / 2 + _XS)),
+    dist.push_forward(dist.make_uniform(), _BETA, _BETA.derivative,
+                      dist.make_uniform().default_grid(_BETA.knots)),
 )
 gp_models = st.builds(
     dist.make_gp,

@@ -5,10 +5,12 @@ README config, so that two checkouts can be compared for byte identity.
 
 For each workload in <checkout>/perfbench/workloads.py, the operations of
 one pass at seed 1 are run in order and every number they return is hashed
-as float64 bytes (an operation that raises hashes its exception type). For
-each example config in <checkout>/README.md, its command is run through
-`shadecraft.cli.main` and the output file and stdout are hashed. Nothing in
-the checkout is written; outputs go to a temporary directory.
+as float64 bytes (an operation that raises hashes its exception type and is
+named on stderr). For each example config in <checkout>/README.md, its
+command is run through `shadecraft.cli.main` and the output file and stdout
+are hashed. Nothing in the checkout is written; outputs go to a temporary
+directory. Every line is printed; the exit status is then 1 if any operation
+raised, else 0.
 """
 
 import contextlib
@@ -38,7 +40,9 @@ def _numbers(value):
     return np.asarray(value, dtype=float).ravel()
 
 
-def _workload_hash(workload):
+def _workload_hash(workload, raised=None):
+    """The workload's sha256; each operation that raises is named on stderr
+    and, when `raised` is a list, appended to it."""
     state = workload.setup(SEED)
     digest = hashlib.sha256()
     for op in workload.ops(state, SEED):
@@ -46,6 +50,8 @@ def _workload_hash(workload):
             data = _numbers(op.call()).tobytes()
         except Exception as exc:  # a refusal is part of the fingerprint
             print(f"{workload.name} {op.kind} raised {exc!r}", file=sys.stderr)
+            if raised is not None:
+                raised.append(f"{workload.name} {op.kind}")
             data = type(exc).__name__.encode()
         digest.update(op.kind.encode() + b"\0" + data)
     return digest.hexdigest()
@@ -90,10 +96,13 @@ def main(argv=None):
     if Path(cli.__file__).resolve().parent != root / "src" / "shadecraft":
         raise SystemExit(f"shadecraft was imported from outside {root}")
 
+    raised = []
     for name, workload in WORKLOADS.items():
-        print(f"workload {name}: {_workload_hash(workload)}")
+        print(f"workload {name}: {_workload_hash(workload, raised)}")
     for label, code, out_hash, stdout_hash in _config_hashes(root / "README.md", cli):
         print(f"config {label}: exit {code} out {out_hash} stdout {stdout_hash}")
+    if raised:  # exit status 1, with the message on stderr
+        raise SystemExit(f"{len(raised)} operation(s) raised: {', '.join(raised)}")
 
 
 if __name__ == "__main__":
