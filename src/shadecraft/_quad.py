@@ -38,12 +38,6 @@ def _panels(f, lo, hi, nodes, weights, cuts=()):
             for i, j in zip(edges, edges[1:])]
 
 
-def _halves(lo, hi):
-    """The left halves of the panels [lo[i], hi[i]], then their right halves."""
-    mid = 0.5 * (lo + hi)
-    return np.concatenate([lo, mid]), np.concatenate([mid, hi])
-
-
 def integrate(f, a, b, breakpoints=(), max_panels=100000):
     """Integrate f over [a, b], splitting at interior breakpoints (kinks).
 
@@ -52,12 +46,16 @@ def integrate(f, a, b, breakpoints=(), max_panels=100000):
     Returns a float, or an array of m integrals when f returns m rows."""
     if not b > a:
         return 0.0
-    pts = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b], dtype=float)
-    lo, hi = _halves(pts[:-1], pts[1:])
-    whole, halves = _panels(f, np.concatenate([pts[:-1], lo]), np.concatenate([pts[1:], hi]),
-                            _NODES15, _WEIGHTS15, (pts.size - 1,))
+    pts = np.array([a] + sorted({p for p in breakpoints if a < p < b}) + [b], dtype=float)
+    n = pts.size - 1
+    left, right = pts[:-1], pts[1:]
+    mid = 0.5 * (left + right)
+    # the n segments, then their n left and n right halves
+    lo, hi = np.concatenate([left, left, mid]), np.concatenate([right, mid, right])
+    whole, halves = _panels(f, lo, hi, _NODES15, _WEIGHTS15, (n,))
+    lo, hi = lo[n:], hi[n:]
     rough = np.abs(whole).sum(axis=-1, keepdims=True)
-    tol = np.maximum(_ABS_TOL, _REL_TOL * rough) * (pts[1:] - pts[:-1]) / (b - a)
+    tol = np.maximum(_ABS_TOL, _REL_TOL * rough) * (right - left) / (b - a)
     total = 0.0
     budget = max_panels
     for depth in range(_MAX_DEPTH, -1, -1):
@@ -79,9 +77,11 @@ def integrate(f, a, b, breakpoints=(), max_panels=100000):
         keep = np.tile(~done, 2)
         whole = halves[..., keep]
         tol = np.tile(np.maximum(0.5 * tol, 1e-16 * np.abs(both))[..., ~done], 2)
-        lo, hi = _halves(lo[keep], hi[keep])
+        lo, hi = lo[keep], hi[keep]
+        mid = 0.5 * (lo + hi)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
         halves, = _panels(f, lo, hi, _NODES15, _WEIGHTS15)
-    return total if np.ndim(total) else float(total)
+    return total if total.ndim else float(total)
 
 
 def panel_integrals(f, knots):

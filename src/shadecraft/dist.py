@@ -23,11 +23,17 @@ from .errors import ConfigError, InvalidParams, NonMonotone, NonRegular, OutOfSu
 GRID_N = 2048            # default knot count for grid-backed models
 TAIL_CDF_CUTOFF = 1e-9   # virtual values on grids are only evaluated for F <= 1 - cutoff
 INF_TRUNC_Q = 1.0 - 1e-10  # quantile at which unbounded supports are truncated for grids
-# Batches smaller than this go to scipy's compiled PPoly evaluation, which
+# Batches smaller than this go to the compiled loop of scipy's PPoly, which
 # gives the same bits and wins on small batches, such as the ~15 points of
-# a quadrature panel. Values on the 2,048-knot uniform bid table, scipy
-# against numpy (2-core host): 9/42 us at 16 points, 28/51 at 512, 97/58
-# at 1,024; with the slope too, 97/64 at 512.
+# a quadrature panel. Its per-point binary search is fast on sorted points
+# and slow on shuffled ones. Value reads on the 2,048-knot uniform bid
+# table, compiled loop / numpy in us, on fresh sorted and shuffled batches
+# (2-core x86-64 host):
+#   16 points: 4/22 and 4/21;  512: 25/30 and 50/30;
+#   1,024: 41/36 and 97/37;    2,048: 61/51 and 193/51;
+#   value and slope at 512 points: 50/38 and 99/38.
+# The library's batches under 1,024 points are quadrature nodes and probes,
+# sorted or nearly so; its shuffled batches, Monte Carlo's, hold ~22k points.
 _NUMPY_MIN_POINTS = 1024
 
 
@@ -94,6 +100,7 @@ def _pchip(x, y):
             raise InvalidParams("interpolant slopes must be finite at the knots")
         t = (d[:-1] + d[1:] - 2 * m) / h
         c = np.array((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+    # c and x are new C-contiguous arrays, as are those of pp.derivative()
     return PPoly.construct_fast(c, x, extrapolate=True)
 
 
@@ -102,6 +109,8 @@ class _Table:
     extrapolated from the end intervals, built by `_pchip` and evaluated bit
     for bit as scipy's PchipInterpolator evaluates them.
 
+    Small batches call the compiled loop that PPoly.__call__ ends in, on
+    `_pchip`'s C-contiguous coefficients and knots, as that loop requires.
     Large batches locate each point's interval once, for value and slope
     together. On knots that are equispaced to within one interval the index
     is an affine guess with a one-step correction; otherwise it is a binary
@@ -139,25 +148,30 @@ class _Table:
         return np.clip(i + (q >= self.x[i + 1]) - (q < self.x[i]), 0, self.x.size - 2)
 
     def _eval(self, q, *pps):
+        """Each PPoly of pps at q, bit for bit as PPoly.__call__ gives it."""
+        q = np.asarray(q, dtype=float)
         flat = q.ravel()
+        if flat.size < _NUMPY_MIN_POINTS:
+            # without PPoly.__call__'s ~2 us of checks, copies and reshapes
+            outs = []
+            for pp in pps:
+                out = np.empty((flat.size, 1))
+                pp._evaluate(flat, 0, True, out)
+                outs.append(out.reshape(q.shape))
+            return outs
         i = self.interval(flat)
         s = flat - self.x[i]
         # scipy's compiled loop is silent where inf - inf makes a NaN
         with np.errstate(invalid="ignore", over="ignore"):
-            return tuple(_power_sum(pp.c, i, s).reshape(q.shape) for pp in pps)
+            return [_power_sum(pp.c, i, s).reshape(q.shape) for pp in pps]
 
     def __call__(self, q):
-        q = np.asarray(q, dtype=float)
-        return self._pp(q) if q.size < _NUMPY_MIN_POINTS else self._eval(q, self._pp)[0]
+        return self._eval(q, self._pp)[0]
 
     def slope(self, q):
-        q = np.asarray(q, dtype=float)
-        return self._dpp(q) if q.size < _NUMPY_MIN_POINTS else self._eval(q, self._dpp)[0]
+        return self._eval(q, self._dpp)[0]
 
     def value_and_slope(self, q):
-        q = np.asarray(q, dtype=float)
-        if q.size < _NUMPY_MIN_POINTS:
-            return self._pp(q), self._dpp(q)
         return self._eval(q, self._pp, self._dpp)
 
     def _newton(self, y, x, lo, hi, cap):

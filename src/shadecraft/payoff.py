@@ -390,7 +390,8 @@ def directional_derivative(d1, beta, rho, z: CompetitionDistribution):
     if x0 is not None and x0 > lo:
         dx = 1e-6 * (hi - lo)
         a, b = max(lo, x0 - dx), min(hi, x0 + dx)
-        h_slope = float((h(np.asarray(b)) - h(np.asarray(a))) / (b - a))
+        h_a, h_b = h(np.array([a, b]))
+        h_slope = float((h_b - h_a) / (b - a))
         d_val = float(direction(np.asarray(x0, dtype=float)))
         total += d_val * z.atom0 * float(d1.pdf(np.asarray(x0))) * x0 / h_slope
     return total

@@ -5,7 +5,8 @@ family or strategy, so no code under src/shadecraft dispatches on a model or
 strategy class with isinstance (or issubclass). A grid-backed law is built
 only in dist.py, where the push-forward H(beta(x)) = F(x), h = f/beta' is
 written once. Every PCHIP table is built by dist._pchip, so no module uses
-scipy's PchipInterpolator. The payoff engines integrate in four places only,
+scipy's PchipInterpolator, and only dist._Table calls scipy's private
+compiled PPoly evaluation. The payoff engines integrate in four places only,
 and the clearing point is found in one.
 """
 
@@ -116,11 +117,14 @@ def test_scan_sees_a_pchip_use():
 
 def _callers(tree, callee):
     """(line, top-level definition) of each call of callee, a name such as
-    "_quad.integrate" as the source spells it; None outside any definition."""
+    "_quad.integrate" as the source spells it, alone or after a dot (so
+    "_evaluate" finds pp._evaluate); None outside any definition."""
     for top in tree.body:
         for node in ast.walk(top):
-            if isinstance(node, ast.Call) and ast.unparse(node.func) == callee:
-                yield node.lineno, getattr(top, "name", None)
+            if isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if name == callee or name.endswith("." + callee):
+                    yield node.lineno, getattr(top, "name", None)
 
 
 def _src_callers(callee):
@@ -140,8 +144,18 @@ def test_payoff_integrates_in_four_places():
         == {"_clearing_integral", "_bsp_integral", "_linear_integral", "first_price_payoff"}
 
 
+def test_only_the_table_calls_scipys_private_evaluation():
+    # PPoly._evaluate(x, nu, extrapolate, out) is private to scipy; it has had
+    # this signature since scipy 1.10, pyproject.toml's floor. If a release
+    # changes it, tests/test_table.py's byte tests against PchipInterpolator fail
+    assert _src_callers("_evaluate") == [("dist.py", "_Table")]
+
+
 def test_scan_sees_a_call():
     tree = ast.parse("def f(g):\n    return _quad.integrate(lambda x: g(x), 0, 1)\n"
                      "x0 = _clearing_point(h, 0.0, 1.0)\n")
     assert list(_callers(tree, "_quad.integrate")) == [(2, "f")]
     assert list(_callers(tree, "_clearing_point")) == [(3, None)]
+    tree = ast.parse("class T:\n    def f(self, q, out):\n        self._pp._evaluate(q, 0, True, out)\n"
+                     "pp._evaluate(q, 0, True, out)\n")
+    assert list(_callers(tree, "_evaluate")) == [(3, "T"), (4, None)]

@@ -154,3 +154,16 @@ def test_grid_callers_match_three_steps(model):
     q0 = np.asarray(0.3)
     assert_same(model.quantile(q0),
                 three_steps(model._F, q0, model._Q(q0), model.knots[0], model.knots[-1]))
+
+
+@pytest.mark.xfail(strict=True, reason="known defect (ROADMAP Known defects): Newton reaches "
+                   "the top knot, where the density is 0, and the 1e-12 slope floor sends "
+                   "the next step to the low end")
+def test_quantile_near_one_where_the_density_ends_at_zero():
+    # the K=2 equilibrium bid law of GP(0, 1, -0.5): its cdf table passes
+    # 1 - 1e-9 inside the last knot interval, at ~0.666666666, yet quantile
+    # returns the support's low end, 0.292836925937669. When a fix lands, this
+    # xfail turns into a failure (strict), and the marker comes off
+    bids = shade.equilibrium_shading(dist.make_gp(0.0, 1.0, -0.5), 2).bid_distribution()
+    q = bids.quantile([1 - 1e-9, 1 - 1e-12])
+    assert np.all((q > bids.knots[-2]) & (q <= bids.knots[-1]))

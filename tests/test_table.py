@@ -1,11 +1,13 @@
 """The grid layer's PCHIP table against scipy's PchipInterpolator.
 
 Batches at or above dist._NUMPY_MIN_POINTS are evaluated in numpy with one
-interval lookup shared by value and slope. These tests lower that crossover
-to 0, so they exercise the numpy path whatever its value, and require it to
-give the same bits as scipy on equispaced knots, on default grids merged
-with kink knots and on strongly non-uniform (geometric) knots, for queries
-inside, exactly at the knots, beyond both ends, NaN, 0-d and empty.
+interval lookup shared by value and slope; smaller ones call the compiled
+loop that PPoly.__call__ ends in, without its wrapper. These tests move that
+crossover to either side of each batch, so they exercise both paths whatever
+its value, and require every read to give the same bits as scipy on
+equispaced knots, on default grids merged with kink knots and on strongly
+non-uniform (geometric) knots, for queries inside, exactly at the knots,
+beyond both ends, NaN, +-inf, 0-d and empty.
 """
 
 from unittest import mock
@@ -94,10 +96,13 @@ def test_numpy_path_is_bit_equal_to_scipy(data):
         both = table.value_and_slope(q)
     assert_same_bits(both[0], value(q))
     assert_same_bits(both[1], slope(q))
-    # below the crossover the table hands the batch to scipy itself
+    # below the crossover every read calls scipy's compiled PPoly loop itself
     with mock.patch.object(dist, "_NUMPY_MIN_POINTS", q.size + 1):
         assert_same_bits(table(q), value(q))
-        assert_same_bits(table.value_and_slope(q)[1], slope(q))
+        assert_same_bits(table.slope(q), slope(q))
+        both = table.value_and_slope(q)
+    assert_same_bits(both[0], value(q))
+    assert_same_bits(both[1], slope(q))
 
 
 @settings(max_examples=150, deadline=None)
