@@ -74,9 +74,10 @@ def integrate(f, a, b, breakpoints=(), max_panels=100000):
         total = total + both[..., done].sum(axis=-1)
         if done.all():
             break
-        keep = np.tile(~done, 2)
+        keep = np.concatenate([~done, ~done])
         whole = halves[..., keep]
-        tol = np.tile(np.maximum(0.5 * tol, 1e-16 * np.abs(both))[..., ~done], 2)
+        tol = np.maximum(0.5 * tol, 1e-16 * np.abs(both))[..., ~done]
+        tol = np.concatenate([tol, tol], axis=-1)
         lo, hi = lo[keep], hi[keep]
         mid = 0.5 * (lo + hi)
         lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])

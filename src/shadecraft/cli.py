@@ -125,9 +125,9 @@ def cmd_equilibrium_demo(cfg):
     xs = np.linspace(d1.support[0], d1.grid_upper(), 400)
     ode_resid = shade.virtualize(d1, eq.bid, eq.bid_derivative, xs) - beta_i(xs)
     gamma = eq.as_grid_function()
-    dd_max = max(abs(payoff.directional_derivative(
-        d1, gamma, dist.GridFunction.from_callable(f, 0.0, d1.grid_upper(), 512), z_eq))
-        for f in _DD_DIRECTIONS)
+    rhos = [dist.GridFunction.from_callable(f, 0.0, d1.grid_upper(), 512)
+            for f in _DD_DIRECTIONS]
+    dd_max = np.abs(payoff.directional_derivative(d1, gamma, rhos, z_eq)).max()
 
     report = {
         "metadata": {"seed": seed, "version": __version__},

@@ -257,14 +257,16 @@ class GridFunction:
 
 
 class DistributionModel:
-    """Common surface of value/bid distribution models."""
+    """Common surface of value/bid distribution models. A family implements cdf
+    or sf, and quantile or isf; the base derives the other rule of each pair,
+    through 1 - F and 1 - q. `is_regular`, whether psi increases, is a value."""
 
     @property
     def support(self):
         raise NotImplementedError
 
     def cdf(self, x):
-        raise NotImplementedError
+        return 1.0 - self.sf(x)
 
     def sf(self, x):
         """Survival function 1 - F(x), computed without cancellation when possible."""
@@ -274,17 +276,13 @@ class DistributionModel:
         raise NotImplementedError
 
     def quantile(self, q):
-        raise NotImplementedError
+        return self.isf(1.0 - np.asarray(q, dtype=float))
 
     def isf(self, u):
         """Inverse survival function, the x with 1 - F(x) = u."""
         return self.quantile(1.0 - np.asarray(u, dtype=float))
 
     def mean(self):
-        raise NotImplementedError
-
-    @property
-    def is_regular(self):
         raise NotImplementedError
 
     def virtual_value_clamped(self, x):
@@ -383,8 +381,8 @@ class DistributionModel:
         """E[X | X >= x], by quadrature."""
         return conditional_tail_expectation(self, lambda t: t, x)
 
-    def _check_support(self, x, tol=1e-12):
-        _check_within(x, self.support, tol, "point outside support")
+    def _check_support(self, x):
+        _check_within(x, self.support, 1e-12, "point outside support")
 
 
 def _each_distinct(fn, items):
@@ -409,6 +407,8 @@ def _check_within(v, bounds, tol, what):
 
 class GPDistribution(DistributionModel):
     """Generalized Pareto model with closed-form virtual-value calculus."""
+
+    is_regular = True
 
     def __init__(self, params: GPParams):
         self.params = params
@@ -448,9 +448,6 @@ class GPDistribution(DistributionModel):
             out = base ** (-1.0 / p.xi)
         return np.where(z < 0, 1.0, out)
 
-    def cdf(self, x):
-        return 1.0 - self.sf(x)
-
     def pdf(self, x):
         p = self.params
         x = np.asarray(x, dtype=float)
@@ -467,9 +464,6 @@ class GPDistribution(DistributionModel):
             out[(z >= 0) & (base == 0)] = 1.0 / p.sigma
         return out
 
-    def quantile(self, q):
-        return self.isf(1.0 - np.asarray(q, dtype=float))
-
     def isf(self, u):
         """Closed form in u, so that x stays finite for u below one ulp of 1."""
         p = self.params
@@ -484,10 +478,6 @@ class GPDistribution(DistributionModel):
     def mean(self):
         p = self.params
         return p.mu + p.sigma / (1.0 - p.xi)
-
-    @property
-    def is_regular(self):
-        return True
 
     def monopoly_price(self):
         p = self.params
@@ -566,9 +556,9 @@ class GridDistribution(DistributionModel):
         self._psi_values = psi
         # regularity is only decidable up to the grid's own resolution
         scale = max(abs(psi[0]), abs(psi[-1]), 1e-6)
-        self._regular = bool(np.all(np.diff(psi) > -1e-9 * scale))
+        self.is_regular = bool(np.all(np.diff(psi) > -1e-9 * scale))
         self._psi = _Table(xs, psi)
-        if self._regular:
+        if self.is_regular:
             # inverse built on the strictly increasing envelope of the table
             keep = np.concatenate([[True], np.diff(np.maximum.accumulate(psi)) > 0])
             self._psi_inv = _Table(psi[keep], xs[keep])
@@ -581,8 +571,8 @@ class GridDistribution(DistributionModel):
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
+        # the first piece starts at the first knot, where it is cdf_values[0]
         out = self._F(np.clip(x, self.knots[0], self.knots[-1]))
-        out = np.where(x < self.knots[0], self.cdf_values[0], out)
         out = np.where(x > self.knots[-1], self.cdf_values[-1], out)
         return np.clip(out, 0.0, 1.0)
 
@@ -603,15 +593,11 @@ class GridDistribution(DistributionModel):
     def mean(self):
         return float(np.sum(_quad.panel_integrals(lambda t: t * self.pdf(t), self.knots)))
 
-    @property
-    def is_regular(self):
-        return self._regular
-
     def virtual_value_clamped(self, x):
         return self._psi(np.clip(np.asarray(x, dtype=float), *self.psi_domain))
 
     def _inverse_virtual_clamped(self, t):
-        if not self._regular:
+        if not self.is_regular:
             raise NonRegular("virtual value is not increasing on the grid")
         t = np.clip(np.asarray(t, dtype=float), self._psi_values[0], self._psi_values[-1])
         lo, hi = self.psi_domain

@@ -368,9 +368,10 @@ def payoff_derivative_alpha(d1, competitor_models, at_alpha, kind="myerson"):
 # ----------------------------------------------------------------------
 
 def directional_derivative(d1, beta, rho, z: CompetitionDistribution):
-    """Directional derivative of the Myerson payoff at shading beta along rho.
+    """Directional derivative of the Myerson payoff at shading beta along rho, a
+    float; along a list of directions, an array, from one integral with a row each.
 
-    beta, increasing, and rho are functions of value with a `.derivative`
+    beta, increasing, and each rho are functions of value with a `.derivative`
     method, such as GridFunction.
     Expectation term: E[D(x) {(x - h) f_Z(h) - F_Z(h)} 1{h > 0}] with
     h(x) = beta(x) + beta'(x)(psi(x) - x) and D(x) = rho(x) + rho'(x)(psi(x) - x).
@@ -378,23 +379,28 @@ def directional_derivative(d1, beta, rho, z: CompetitionDistribution):
     where h first reaches 0. It is added only when x0 > lo, the low end of the
     support, which holds exactly when h(lo) < 0: a clearing point at lo cannot move.
     """
+    many = isinstance(rho, (list, tuple))
+    # a list is one direction with a row each: the transform identity acts row by row
+    fn, slope = (rho, rho.derivative) if not many else (
+        lambda x: np.array([r(x) for r in rho]),
+        lambda x: np.array([r.derivative(x) for r in rho]))
     lo, hi = d1.support[0], d1.grid_upper()
     probe = np.linspace(lo, hi, 512)
     # beta and beta +- 1e-6 rho all increasing
-    if np.any(beta.derivative(probe) <= 1e-6 * np.abs(rho.derivative(probe))):
+    if np.any(beta.derivative(probe) <= 1e-6 * np.abs(slope(probe))):
         raise NonMonotone("perturbation breaks monotonicity of the bid function")
 
     h = partial(virtualize, d1, beta, beta.derivative)
-    direction = partial(virtualize, d1, rho, rho.derivative)
+    direction = partial(virtualize, d1, fn, slope)
     total, x0 = _clearing_integral(d1, h, lambda x, hx: _surplus(z, x, hx, direction(x)))
     if x0 is not None and x0 > lo:
         dx = 1e-6 * (hi - lo)
         a, b = max(lo, x0 - dx), min(hi, x0 + dx)
         h_a, h_b = h(np.array([a, b]))
         h_slope = float((h_b - h_a) / (b - a))
-        d_val = float(direction(np.asarray(x0, dtype=float)))
+        d_val = direction(np.asarray(x0, dtype=float))
         total += d_val * z.atom0 * float(d1.pdf(np.asarray(x0))) * x0 / h_slope
-    return total
+    return np.zeros(len(rho)) + total if many else float(total)  # a row each if h never clears
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,8 @@ strategy's own bid derivative on the base model's `default_grid`, with the
 strategy's kinks as extra knots.
 """
 
+import functools
+
 import numpy as np
 
 from . import _quad
@@ -44,14 +46,11 @@ class ShadingStrategy:
         raise NotImplementedError
 
     def bid_distribution(self) -> DistributionModel:
-        """Distribution of B = bid(X); cached after first construction."""
-        cached = getattr(self, "_bid_dist", None)
-        if cached is None:
-            cached = self._make_bid_distribution()
-            self._bid_dist = cached
-        return cached
+        """Distribution of B = bid(X), built once, on first use."""
+        return self._bid_law
 
-    def _make_bid_distribution(self) -> DistributionModel:
+    @functools.cached_property
+    def _bid_law(self) -> DistributionModel:
         return push_forward(self.base, self.bid, self.bid_derivative,
                             self.base.default_grid(self.kinks))
 
@@ -84,7 +83,8 @@ class LinearShading(ShadingStrategy):
     def virtualized_bid(self, x):
         return self.alpha * self.base.virtual_value_clamped(x)
 
-    def _make_bid_distribution(self):
+    @functools.cached_property
+    def _bid_law(self):
         return self.base.scaled(self.alpha)
 
 
@@ -127,11 +127,11 @@ class GPReparamShading(ShadingStrategy):
     def __init__(self, base: DistributionModel, params: GPParams):
         self.base = base
         self.params = params
-        self._bid_dist = GPDistribution(params)  # the bid law, as bid_distribution() returns it
+        self._bid_law = GPDistribution(params)  # exact, so never pushed forward
 
     def bid(self, x):
         u = self.base.sf(np.asarray(x, dtype=float))
-        return self._bid_dist.isf(np.maximum(u, 1e-300))
+        return self._bid_law.isf(np.maximum(u, 1e-300))
 
     def bid_derivative(self, x):
         p = self.params
@@ -140,7 +140,7 @@ class GPReparamShading(ShadingStrategy):
         return p.sigma * self.base.pdf(x) * np.maximum(u, 1e-300) ** (-p.xi - 1.0)
 
     def virtualized_bid(self, x):
-        return self._bid_dist.virtual_value_clamped(self.bid(x))
+        return self._bid_law.virtual_value_clamped(self.bid(x))
 
 
 def truthful(base: DistributionModel) -> ShadingStrategy:

@@ -105,6 +105,23 @@ class TestEquilibriumDemo:
             - shade.first_price_bid(d1, 3)(xs)
         assert np.abs(table_route).max() >= 1e-9
 
+    def test_one_directional_derivative_call(self, tmp_path, monkeypatch):
+        # the five directions are the rows of one integral
+        calls = []
+        real = cli.payoff.directional_derivative
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(cli.payoff, "directional_derivative", counting)
+        out = tmp_path / "eq.json"
+        cfg = write_config(tmp_path, "c.json", {
+            "k": 3, "rounds": 1000, "seed": 1, "out": str(out)})
+        assert cli.main(["equilibrium-demo", cfg]) == 0
+        assert len(calls) == 1 and len(calls[0][2]) == len(cli._DD_DIRECTIONS)
+        assert json.loads(out.read_text())["max_directional_derivative"] < 1e-4
+
     def test_missing_seed_exits_2(self, tmp_path):
         out = tmp_path / "eq.json"
         cfg = write_config(tmp_path, "c.json", {"k": 3, "rounds": 10, "out": str(out)})

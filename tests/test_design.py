@@ -6,8 +6,9 @@ strategy class with isinstance (or issubclass). A grid-backed law is built
 only in dist.py, where the push-forward H(beta(x)) = F(x), h = f/beta' is
 written once. Every PCHIP table is built by dist._pchip, so no module uses
 scipy's PchipInterpolator, and only dist._Table calls scipy's private
-compiled PPoly evaluation. The payoff engines integrate in four places only,
-and the clearing point is found in one.
+compiled PPoly evaluation. A model family implements one rule of each pair
+cdf/sf and quantile/isf; the base derives the other. The payoff engines
+integrate in four places only, and the clearing point is found in one.
 """
 
 import ast
@@ -29,6 +30,15 @@ def _family(root):
 
 # every model and strategy class the package defines
 DISPATCH_CLASSES = _family(dist.DistributionModel) | _family(shade.ShadingStrategy)
+
+
+def test_each_family_implements_one_rule_of_each_pair():
+    # the base derives sf from cdf and cdf from sf, isf from quantile and
+    # quantile from isf; a family that wrote both would spell one rule twice
+    found = [f"{cls.__name__}: {pair}" for cls in dist.DistributionModel.__subclasses__()
+             for pair in (("cdf", "sf"), ("quantile", "isf"))
+             if sum(name in vars(cls) for name in pair) != 1]
+    assert not found, "a family must define exactly one of:\n" + "\n".join(found)
 
 
 def _class_names(node):

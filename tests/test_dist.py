@@ -288,6 +288,21 @@ class TestGridModel:
         # no tail above the top: E[X | X >= 1] is the top itself
         assert dist.conditional_tail_expectation(g, None, 1.0) == 1.0
 
+    @pytest.mark.parametrize("n", [7, 2048])  # below and above dist._NUMPY_MIN_POINTS
+    def test_cdf_at_and_below_the_first_knot_is_the_first_value(self, n):
+        # the cdf table's first piece starts at the first knot, where it is
+        # cdf_values[0], so the clip into the support reads that value below it
+        xs = np.linspace(1.0, 1.01, 257)
+        g = dist.make_grid(xs, 0.1 + 0.9 * (xs - 1.0) / 0.01, np.full_like(xs, 90.0))
+        below = np.resize([xs[0], np.nextafter(xs[0], -np.inf), 0.5, -1e300, -np.inf, np.nan], n)
+        out = g.cdf(below)
+        nan = np.isnan(below)
+        assert np.isnan(out[nan]).all()
+        assert out[~nan].tobytes() == np.full(np.count_nonzero(~nan), 0.1).tobytes()
+        # the first piece one ulp below the first knot is not cdf_values[0]: a
+        # read that missed the first knot by an ulp would fail the test
+        assert (g._F(np.full(n, np.nextafter(xs[0], -np.inf))) != 0.1).all()
+
     def test_non_regular_grid_rejected_for_inverse(self):
         # bimodal-ish density gives a non-monotone virtual value
         xs = np.linspace(0.0, 1.0, 400)

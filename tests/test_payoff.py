@@ -548,19 +548,35 @@ class TestDerivativeAlpha:
             payoff.payoff_derivative_alpha(dist.make_uniform(), uniforms(2), 1.0, step=1e-4)
 
 
+# the five directions of acceptance criterion 04
+DIRECTIONS = [lambda x: np.asarray(x, dtype=float),
+              lambda x: (1 + np.asarray(x, dtype=float)) / 2,
+              lambda x: np.asarray(x, dtype=float) + np.asarray(x, dtype=float) ** 2,
+              lambda x: np.log1p(np.asarray(x, dtype=float)),
+              lambda x: np.expm1(np.asarray(x, dtype=float))]
+
+
 class TestDirectionalDerivative:
     def test_vanishes_at_equilibrium(self, eq3):
         u = dist.make_uniform()
         z = payoff.competition_distribution([eq3.bid_distribution()] * 2)
         beta = eq3.as_grid_function()
-        directions = [lambda x: np.asarray(x, dtype=float),
-                      lambda x: (1 + np.asarray(x, dtype=float)) / 2,
-                      lambda x: np.asarray(x, dtype=float) + np.asarray(x, dtype=float) ** 2,
-                      lambda x: np.log1p(np.asarray(x, dtype=float)),
-                      lambda x: np.expm1(np.asarray(x, dtype=float))]
-        for f in directions:
+        for f in DIRECTIONS:
             rho = dist.GridFunction.from_callable(f, 0.0, 1.0, 512)
             assert abs(payoff.directional_derivative(u, beta, rho, z)) < 1e-4
+
+    def test_list_of_directions_is_the_single_calls_bit_for_bit(self, eq3):
+        # one integral with a row per direction; at the uniform K=3 equilibrium
+        # every row resolves where its single integral does
+        u = dist.make_uniform()
+        z = payoff.competition_distribution([eq3.bid_distribution()] * 2)
+        beta = eq3.as_grid_function()
+        rhos = [dist.GridFunction.from_callable(f, 0.0, 1.0, 512) for f in DIRECTIONS]
+        singles = [payoff.directional_derivative(u, beta, rho, z) for rho in rhos]
+        assert all(type(v) is float for v in singles)
+        many = payoff.directional_derivative(u, beta, rhos, z)
+        assert many.shape == (5,)
+        assert many.tobytes() == np.array(singles).tobytes()
 
     def test_linear_direction_matches_alpha_derivative(self, z_two_uniform):
         u = dist.make_uniform()
@@ -583,6 +599,9 @@ class TestDirectionalDerivative:
         assert want == pytest.approx(-7 / 48, abs=1e-15)
         dd = payoff.directional_derivative(u, identity, rho, z_two_uniform)
         assert dd == pytest.approx(want, abs=1e-9)
+        # the boundary term too is one per row
+        rows = payoff.directional_derivative(u, identity, [rho, identity, rho], z_two_uniform)
+        assert rows[0] == rows[2] == dd
 
     def test_zero_direction(self, z_two_uniform):
         u = dist.make_uniform()
@@ -602,6 +621,10 @@ class TestDirectionalDerivative:
         with pytest.raises(NonMonotone, match="perturbation breaks monotonicity"):
             payoff.directional_derivative(u, dist.GridFunction(xs, xs),
                                           dist.GridFunction(xs, 1e7 * xs), z_two_uniform)
+        with pytest.raises(NonMonotone, match="perturbation breaks monotonicity"):
+            payoff.directional_derivative(
+                u, dist.GridFunction(xs, xs),
+                [dist.GridFunction(xs, xs), dist.GridFunction(xs, 1e7 * xs)], z_two_uniform)
 
 
 class TestEquilibriumProperties:
