@@ -23,29 +23,44 @@ from .errors import ConfigError, InvalidParams, NonMonotone, NonRegular, OutOfSu
 GRID_N = 2048            # default knot count for grid-backed models
 TAIL_CDF_CUTOFF = 1e-9   # virtual values on grids are only evaluated for F <= 1 - cutoff
 INF_TRUNC_Q = 1.0 - 1e-10  # quantile at which unbounded supports are truncated for grids
-# Batches smaller than this go to the compiled loop of scipy's PPoly, which
+# Batches smaller than these go to the compiled loop of scipy's PPoly, which
 # gives the same bits and wins on small batches, such as the ~15 points of
 # a quadrature panel. Its per-point binary search is fast on sorted points
-# and slow on shuffled ones. Value reads on the 2,048-knot uniform bid
-# table, compiled loop / numpy in us, on fresh sorted and shuffled batches
-# (2-core x86-64 host):
-#   16 points: 4/22 and 4/21;  512: 25/30 and 50/30;
-#   1,024: 41/36 and 97/37;    2,048: 61/51 and 193/51;
-#   value and slope at 512 points: 50/38 and 99/38.
-# The library's batches under 1,024 points are quadrature nodes and probes,
-# sorted or nearly so; its shuffled batches, Monte Carlo's, hold ~22k points.
+# and slow on shuffled ones, and a value-and-slope read runs it twice, where
+# numpy locates the points once. Compiled loop / numpy in us per read on the
+# 2,048-knot uniform bid and psi tables, fresh batches, two runs (2-core
+# x86-64 host):
+#                       sorted           shuffled
+#   value, 512:         29-39 / 28-49    56-63 / 30-32
+#   value, 1,024:       46-64 / 33-38    113-124 / 37-58
+#   value+slope, 128:   23-31 / 26-49    33-41 / 26-40
+#   value+slope, 256:   35-47 / 29-55    58-64 / 30-36
+#   value+slope, 512:   57-76 / 34-67    116-131 / 35-40
+# The library's value reads under 1,024 points are quadrature nodes and
+# probes, sorted or nearly so; its value-and-slope reads are Newton steps,
+# under 256 points in quadrature and ~22k in Monte Carlo.
 _NUMPY_MIN_POINTS = 1024
+_NUMPY_MIN_PAIR_POINTS = 256
 
 
-def _power_sum(c, i, s):
-    """sum_k c[-1 - k, i] * s**k, term by term in scipy PPoly's order."""
-    out = c[-1][i]
+def _power_sums(cs, i, s):
+    """For each coefficient array c of cs, sum_k c[-1 - k, i] * s**k, term by
+    term in scipy PPoly's order. The arrays are summed side by side, so that
+    each power of s is formed once, in one array updated in place."""
+    outs = [c[-1][i] for c in cs]
     power = s
-    for k, row in enumerate(c[-2::-1]):
-        if k:
-            power = power * s
-        out += row[i] * power
-    return out
+    for k in range(1, max(len(c) for c in cs)):
+        if k == 2:
+            power = s * s
+        elif k > 2:
+            power *= s
+        for c, out in zip(cs, outs):
+            if k < len(c):
+                term = c[-1 - k][i]
+                term *= power
+                out += term
+                del term  # freed before the next term or power is formed
+    return outs
 
 
 def _signless_zeros(pp):
@@ -111,10 +126,15 @@ class _Table:
 
     Small batches call the compiled loop that PPoly.__call__ ends in, on
     `_pchip`'s C-contiguous coefficients and knots, as that loop requires.
-    Large batches locate each point's interval once, for value and slope
-    together. On knots that are equispaced to within one interval the index
-    is an affine guess with a one-step correction; otherwise it is a binary
-    search on the interior knots.
+    Large batches (see `_NUMPY_MIN_POINTS` and `_NUMPY_MIN_PAIR_POINTS`)
+    locate each point's interval once, for value and slope together. On
+    knots that are equispaced to within one interval the index is an affine
+    guess, formed in one array, and checked by two gathers: of the knot on
+    its left, which also gives the offset s, and of the knot on its right.
+    Only where some point's guess is one interval off is the index
+    corrected, clipped and the left knot gathered again. Otherwise the index
+    is a binary search on the interior knots. Each polynomial then takes one
+    gather per coefficient, and value and slope share the powers of s.
     """
 
     def __init__(self, x, y, slopes=None):
@@ -137,21 +157,36 @@ class _Table:
 
     def _guess(self, q):
         # NaN and +inf guess the last interval, as searchsorted sorts them
-        return np.fmin(np.maximum((q - self.x[0]) * self._scale, 0.0),
-                       self.x.size - 2).astype(np.intp)
+        g = q - self.x[0]
+        g *= self._scale
+        np.maximum(g, 0.0, out=g)
+        return np.fmin(g, self.x.size - 2, out=g).astype(np.intp)
+
+    def _locate(self, q):
+        """(i, q - x[i]) for 1-d q, i = np.searchsorted(x[1:-1], q, side="right")."""
+        x = self.x
+        if self._scale is None:
+            i = np.searchsorted(x[1:-1], q, side="right")
+            return i, q - x[i]
+        i = self._guess(q)
+        left = x[i]
+        up = q >= x[1:][i]
+        down = q < left
+        if up.any() or down.any():  # the guess is one interval off somewhere
+            i = np.clip(i + up - down, 0, x.size - 2)
+            left = x[i]
+        return i, np.subtract(q, left, out=left)
 
     def interval(self, q):
         """np.searchsorted(x[1:-1], q, side="right"): the polynomial piece at q."""
-        if self._scale is None:
-            return np.searchsorted(self.x[1:-1], q, side="right")
-        i = self._guess(q)
-        return np.clip(i + (q >= self.x[i + 1]) - (q < self.x[i]), 0, self.x.size - 2)
+        q = np.asarray(q, dtype=float)
+        return self._locate(q.ravel())[0].reshape(q.shape)
 
     def _eval(self, q, *pps):
         """Each PPoly of pps at q, bit for bit as PPoly.__call__ gives it."""
         q = np.asarray(q, dtype=float)
         flat = q.ravel()
-        if flat.size < _NUMPY_MIN_POINTS:
+        if flat.size < (_NUMPY_MIN_POINTS if len(pps) == 1 else _NUMPY_MIN_PAIR_POINTS):
             # without PPoly.__call__'s ~2 us of checks, copies and reshapes
             outs = []
             for pp in pps:
@@ -159,11 +194,10 @@ class _Table:
                 pp._evaluate(flat, 0, True, out)
                 outs.append(out.reshape(q.shape))
             return outs
-        i = self.interval(flat)
-        s = flat - self.x[i]
+        i, s = self._locate(flat)
         # scipy's compiled loop is silent where inf - inf makes a NaN
         with np.errstate(invalid="ignore", over="ignore"):
-            return [_power_sum(pp.c, i, s).reshape(q.shape) for pp in pps]
+            return [out.reshape(q.shape) for out in _power_sums([pp.c for pp in pps], i, s)]
 
     def __call__(self, q):
         return self._eval(q, self._pp)[0]

@@ -110,12 +110,7 @@ def _scored_outcomes(bids, cfg: MechanismConfig):
         winner, best, payment = _rank(w)
         sale = best >= 0
         del best  # freed before the payments, where a chunk's memory peaks
-        # the score to beat, then the winner's bid whose virtual value it is
-        np.maximum(0.0, payment, out=payment)
-        for i, m in enumerate(cfg.bid_models):
-            sel = np.flatnonzero(sale & (winner == i))
-            if sel.size:
-                payment[sel] = m._inverse_virtual_clamped(payment[sel])
+        np.maximum(0.0, payment, out=payment)  # the score to beat
     elif kind == "boosted-second-price":
         s = np.asarray(cfg.boosts)
         w = np.array([s[i] * (c - r[i]) for i, c in enumerate(cols)])
@@ -134,8 +129,14 @@ def _scored_outcomes(bids, cfg: MechanismConfig):
     else:
         raise InvalidParams(f"unsupported mechanism kind: {kind!r}")
 
+    winner = np.where(sale, winner, -1)
+    if kind == "myerson":  # the winner's bid whose virtual value is the score to beat
+        for i, m in enumerate(cfg.bid_models):
+            sel = np.flatnonzero(winner == i)
+            if sel.size:
+                payment[sel] = m._inverse_virtual_clamped(payment[sel])
     payment = np.where(sale, np.maximum(payment, 0.0), 0.0)
-    return np.where(sale, winner, -1), payment, w
+    return winner, payment, w
 
 
 def _outcomes(bids, cfg: MechanismConfig):

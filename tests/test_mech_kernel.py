@@ -294,6 +294,59 @@ def test_eager_vcg_is_lazy_vcg_on_masked_bids_bit_for_bit(reserves, k):
             assert got.tobytes() == want.tobytes()
 
 
+def own_myerson_branch(bids, cfg):
+    """The kernel's myerson branch as it was written with one `sale & (winner
+    == i)` selection per bidder: the byte reference for the selections from
+    one sale-masked winner."""
+    w = np.empty((bids.shape[1], bids.shape[0]))
+    for i, m in enumerate(cfg.bid_models):
+        w[i] = m.virtual_value_clamped(bids[:, i])
+    winner, best, payment = mech._rank(w)
+    sale = best >= 0
+    np.maximum(0.0, payment, out=payment)
+    for i, m in enumerate(cfg.bid_models):
+        sel = np.flatnonzero(sale & (winner == i))
+        if sel.size:
+            payment[sel] = m._inverse_virtual_clamped(payment[sel])
+    payment = np.where(sale, np.maximum(payment, 0.0), 0.0)
+    return np.where(sale, winner, -1), payment, w
+
+
+# grid and GP bid laws; bidders 0 and 2 share a law, so that their equal bids
+# tie. The first, the law of 0.8 X for X ~ Unif[0, 1] on 2,048 knots, has
+# negative virtual values; the last is the K=3 uniform equilibrium bid law
+# that Monte Carlo reads
+MIXED_LAWS = (dist.make_uniform().scaled(0.8), dist.make_gp(0.0, 2.0, -0.5), None,
+              shade.equilibrium_shading(dist.make_uniform(), 3).bid_distribution())
+
+
+@pytest.mark.parametrize("rounds", [64, 1 << 14])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_myerson_payments_match_the_per_bidder_selections_bit_for_bit(k, rounds):
+    # quantile levels from a small set (ties, and rounds where no virtual bid
+    # clears 0) in half the rounds, continuous ones in the other half; a
+    # whole chunk sends each bidder's payments through the numpy table path
+    laws = tuple(MIXED_LAWS[0] if m is None else m for m in MIXED_LAWS[:k])
+    rng = np.random.default_rng(k)
+    q = np.where(rng.random((k, rounds)) < 0.5, rng.choice(QUANTILES, size=(k, rounds)),
+                 rng.random((k, rounds)))
+    q[:, :2] = 0.0  # round 0: the lowest bids; round 1: bidders 0 and 2 tie at the top
+    q[0:3:2, 1] = 0.95
+    rows = np.array([m.quantile(qi) for m, qi in zip(laws, q)])
+    cfg = mech.MechanismConfig("myerson", bid_models=laws)
+    want = own_myerson_branch(rows.T, cfg)
+    got = mech._scored_outcomes(rows.T, cfg)
+    for g, wnt in zip(got, want):
+        assert g.dtype == wnt.dtype
+        assert g.tobytes() == wnt.tobytes()
+    winner, w = want[0], want[2]
+    assert np.any(winner >= 0)
+    # the equilibrium law's virtual values are >= 0: with it every round sells
+    assert np.any(winner < 0) == (k < 4)
+    if k >= 3:  # a sold round whose top score two bidders share
+        assert np.any((winner >= 0) & (np.sum(w == w.max(axis=0), axis=0) > 1))
+
+
 # ----------------------------------------------------------------------
 # Monte Carlo through the kernel branches the README configs never run
 # ----------------------------------------------------------------------

@@ -6,15 +6,21 @@ every point and the later ones only on the points that moved, and stops
 when none moves. These tests keep the plain loop as the reference and
 require the same bytes (so a signed zero counts) on random tables, targets
 inside, at and beyond the table ends, scalar and array guesses, 0-d, 1-d and
-2-d targets, batches either side of `_NUMPY_MIN_POINTS`, with and without a
-step cap, and on the symmetric case where the target is read from an equal
-table and the steps reach 0.
+2-d targets, batches either side of `_NUMPY_MIN_POINTS` and of
+`_NUMPY_MIN_PAIR_POINTS`, with and without a step cap, and on the symmetric
+case where the target is read from an equal table and the steps reach 0.
+One more test takes its reference steps from scipy's PchipInterpolator, on
+0-d, empty and 2-d targets on both sides of the crossovers, and checks that
+the caller's arrays are not written to.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from shadecraft import dist, shade
 
@@ -36,7 +42,8 @@ def assert_same(a, b):
     assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-SIZES = [0, 1, 7, dist._NUMPY_MIN_POINTS - 1, dist._NUMPY_MIN_POINTS,
+SIZES = [0, 1, 7, dist._NUMPY_MIN_PAIR_POINTS - 1, dist._NUMPY_MIN_PAIR_POINTS,
+         dist._NUMPY_MIN_PAIR_POINTS + 1, dist._NUMPY_MIN_POINTS - 1, dist._NUMPY_MIN_POINTS,
          dist._NUMPY_MIN_POINTS + 1, 3000]
 
 
@@ -102,6 +109,41 @@ def test_invert_is_byte_equal_to_three_steps(case):
         expected = three_steps(table, y, x, lo, hi, cap)
         got = table.invert(y, x, lo, hi, cap)
     assert_same(got, expected)
+
+
+def scipy_steps(knots, values, y, x, lo, hi, cap=None):
+    """three_steps with each value and slope read by scipy, and new arrays at
+    every step."""
+    value = PchipInterpolator(knots, values, extrapolate=True)
+    slope = value.derivative()
+    for _ in range(3):
+        x = np.clip(x, lo, hi)
+        step = (value(x) - y) / np.clip(slope(x), 1e-12, None)
+        if cap is not None:
+            step = np.where(np.abs(step) > cap, 0.0, step)
+        x = x - step
+    return np.clip(x, lo, hi)
+
+
+@pytest.mark.parametrize("limit", [0, np.inf], ids=["numpy", "compiled"])
+@pytest.mark.parametrize("shape", [(), (0,), (0, 3), (2, 3), (2, 700)])
+@pytest.mark.parametrize("guess", ["array", "scalar"])
+@pytest.mark.parametrize("cap", [None, 0.05])
+def test_invert_keeps_shape_and_bytes_on_both_sides_of_the_crossovers(shape, limit, guess, cap):
+    rng = np.random.default_rng(len(shape))
+    knots = np.linspace(-1.0, 2.0, 300)
+    values = np.cumsum(rng.exponential(size=knots.size) ** 4)
+    table = dist._Table(knots, values)
+    y = rng.uniform(values[0] - 1.0, values[-1] + 1.0, size=shape)
+    x = 0.5 if guess == "scalar" else rng.uniform(-1.5, 2.5, size=shape)
+    given_x, given_y = np.copy(x), np.copy(y)
+    expected = scipy_steps(knots, values, y, x, -1.0, 1.5, cap)
+    with mock.patch.multiple(dist, _NUMPY_MIN_POINTS=limit, _NUMPY_MIN_PAIR_POINTS=limit):
+        got = table.invert(y, x, -1.0, 1.5, cap)
+    assert_same(got, expected)
+    # the caller's target and guess are not written to
+    assert_same(x, given_x if guess == "array" else 0.5)
+    assert_same(y, given_y)
 
 
 @pytest.fixture(scope="module")

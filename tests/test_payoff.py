@@ -369,6 +369,7 @@ class TestMonteCarlo:
         assert runs[0] == runs[1] == runs[2]
         # the same run with every table call evaluated by scipy
         monkeypatch.setattr(dist, "_NUMPY_MIN_POINTS", np.inf)
+        monkeypatch.setattr(dist, "_NUMPY_MIN_PAIR_POINTS", np.inf)
         assert run(1) == runs[0]
 
     def test_env_var_workers(self, monkeypatch):

@@ -1,13 +1,15 @@
 """The grid layer's PCHIP table against scipy's PchipInterpolator.
 
-Batches at or above dist._NUMPY_MIN_POINTS are evaluated in numpy with one
-interval lookup shared by value and slope; smaller ones call the compiled
-loop that PPoly.__call__ ends in, without its wrapper. These tests move that
-crossover to either side of each batch, so they exercise both paths whatever
-its value, and require every read to give the same bits as scipy on
-equispaced knots, on default grids merged with kink knots and on strongly
-non-uniform (geometric) knots, for queries inside, exactly at the knots,
-beyond both ends, NaN, +-inf, 0-d and empty.
+Batches at or above the crossover (dist._NUMPY_MIN_POINTS for a value or
+slope read, dist._NUMPY_MIN_PAIR_POINTS for a value-and-slope read) are
+evaluated in numpy with one interval lookup shared by value and slope;
+smaller ones call the compiled loop that PPoly.__call__ ends in, without its
+wrapper. These tests move both crossovers to either side of each batch, so
+they exercise both paths whatever their values, and require every read to
+give the same bits as scipy on equispaced knots, on default grids merged
+with kink knots and on strongly non-uniform (geometric) knots, for queries
+inside, exactly at the knots, one ulp either side of them, beyond both ends,
+NaN, +-inf, 0-d, empty and 2-d.
 """
 
 from unittest import mock
@@ -74,6 +76,12 @@ def queries(draw, x):
                                  q[: q.size // 2 * 2].reshape(2, -1)]))
 
 
+def crossover(limit):
+    """Both crossovers at limit: 0 sends every batch to numpy, a limit above
+    the batch sends it to scipy's compiled loop."""
+    return mock.patch.multiple(dist, _NUMPY_MIN_POINTS=limit, _NUMPY_MIN_PAIR_POINTS=limit)
+
+
 def assert_same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.shape == want.shape and got.dtype == want.dtype
@@ -90,14 +98,14 @@ def test_numpy_path_is_bit_equal_to_scipy(data):
     value = PchipInterpolator(x, y, extrapolate=True)
     slope = value.derivative() if slopes is None else PchipInterpolator(x, slopes)
     table = dist._Table(x, y, slopes)
-    with mock.patch.object(dist, "_NUMPY_MIN_POINTS", 0):
+    with crossover(0):
         assert_same_bits(table(q), value(q))
         assert_same_bits(table.slope(q), slope(q))
         both = table.value_and_slope(q)
     assert_same_bits(both[0], value(q))
     assert_same_bits(both[1], slope(q))
     # below the crossover every read calls scipy's compiled PPoly loop itself
-    with mock.patch.object(dist, "_NUMPY_MIN_POINTS", q.size + 1):
+    with crossover(q.size + 1):
         assert_same_bits(table(q), value(q))
         assert_same_bits(table.slope(q), slope(q))
         both = table.value_and_slope(q)
@@ -140,3 +148,59 @@ def test_signed_zero_at_a_knot():
     y = np.array([2.0, 0.2, -0.0, -0.5, -2.0])
     with mock.patch.object(dist, "_NUMPY_MIN_POINTS", 0):
         assert_same_bits(dist._Table(x, y)(x), PchipInterpolator(x, y)(x))
+
+
+def ulp_neighbours(x):
+    """Every knot and the floats one ulp below and above it."""
+    return np.concatenate([np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)])
+
+
+def uniform_bid_law_psi():
+    # the K=3 uniform equilibrium bid law's psi table: equispaced knots, then
+    # the appended cutoff quantile, which is no knot of the law itself
+    law = shade.equilibrium_shading(dist.make_uniform(), 3).bid_distribution()
+    x = law._psi.x
+    assert x[-1] not in law.knots and law.cdf(x[-1]) == pytest.approx(1 - 1e-9, abs=1e-15)
+    return x, law._psi_values, law._psi
+
+
+@pytest.mark.parametrize("x", [np.linspace(0.0, 1.0, 2048), np.linspace(-3.0, 7.0, 5),
+                               np.linspace(-7.3, 116.1, 3000), np.linspace(0.1, 0.101, 129),
+                               "psi"], ids=["2048", "5", "3000", "129", "psi"])
+def test_one_ulp_either_side_of_every_knot(x):
+    if isinstance(x, str):
+        x, y, table = uniform_bid_law_psi()
+    else:
+        y = np.cumsum(np.random.default_rng(x.size).exponential(size=x.size))
+        table = dist._Table(x, y)
+    q = ulp_neighbours(x)
+    q = np.concatenate([q, np.random.default_rng(0).permutation(q)])
+    # the affine guess misses some of these points' intervals, so the
+    # one-step correction moves them
+    assert table._scale is not None
+    assert np.any(table._guess(q) != np.searchsorted(x[1:-1], q, side="right"))
+    np.testing.assert_array_equal(table.interval(q), np.searchsorted(x[1:-1], q, side="right"))
+    value = PchipInterpolator(x, y, extrapolate=True)
+    with crossover(0):
+        assert_same_bits(table(q), value(q))
+        assert_same_bits(table.slope(q), value.derivative()(q))
+        both = table.value_and_slope(q)
+    assert_same_bits(both[0], value(q))
+    assert_same_bits(both[1], value.derivative()(q))
+
+
+@pytest.mark.parametrize("limit", [0, np.inf], ids=["numpy", "compiled"])
+@pytest.mark.parametrize("shape", [(), (0,), (0, 3), (2, 3), (3, 700)])
+def test_grid_function_keeps_the_shape_and_the_last_knot(shape, limit):
+    # the stored last value at the last knot, the interpolant elsewhere, in
+    # the query's shape, on either side of the crossover
+    xs = np.linspace(0.0, 2.0, 2048)
+    g = dist.GridFunction(xs, np.exp(xs))
+    rng = np.random.default_rng(len(shape))
+    q = rng.choice(np.concatenate([xs[-3:], ulp_neighbours(xs[-1:]), [-1.0, 3.0, np.nan],
+                                   rng.uniform(0.0, 2.0, 50)]), size=shape)
+    want = np.where(q == xs[-1], np.exp(xs[-1]), PchipInterpolator(xs, np.exp(xs))(q))
+    with crossover(limit):
+        got = g(q)
+    assert type(got) is type(want)
+    assert_same_bits(got, want)
