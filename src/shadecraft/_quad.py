@@ -2,13 +2,16 @@
 
 An integrand takes a 1-d array of points and returns its values there, as an
 array of the same length or as m rows for m functions integrated together. It
-must act elementwise: many panels share one call.
+must act elementwise: many panels share one call, and a call takes a block
+of at most 512 panels. The blocks fill one array of values before any of it
+is weighted, so the bits do not depend on where the blocks end.
 
-`integrate` refines level by level. Its first call evaluates one 15-point
-panel per breakpoint segment and both halves of each segment; each later call
-evaluates both halves of every unresolved panel. A panel is resolved when its
-halves agree with it (in every row); refinement stops at depth 48 or when the
-panel budget runs out, and either warns if a panel is still unresolved.
+`integrate` refines level by level. Its first level evaluates one 15-point
+panel per breakpoint segment and both halves of each segment; each later
+level evaluates both halves of every unresolved panel. A level of up to 512
+panels is one integrand call. A panel is resolved when its halves agree
+with it (in every row); refinement stops at depth 48 or when the panel
+budget runs out, and either warns if a panel is still unresolved.
 """
 
 import warnings
@@ -19,20 +22,41 @@ from scipy.integrate import IntegrationWarning
 _NODES15, _WEIGHTS15 = np.polynomial.legendre.leggauss(15)
 _NODES10, _WEIGHTS10 = np.polynomial.legendre.leggauss(10)
 _REL_TOL, _ABS_TOL, _MAX_DEPTH = 1e-9, 1e-13, 48
+# panels per integrand call: 512 panels of 10 points (panel_integrals) or 15
+# (integrate), so that each of the integrand's temporaries (40 or 60 KB) stays
+# under glibc's 128 KiB mmap threshold and reuses heap memory, where mapping
+# it would fault in fresh pages
+_BLOCK = 512
+
+
+def _values(f, mids, halfs, nodes):
+    """f at the nodes of the panels with these midpoints and half-widths,
+    shaped (..., panels, nodes)."""
+    pts = halfs[:, None] * nodes[None, :]
+    pts += mids[:, None]
+    vals = np.asarray(f(pts.ravel()))
+    return vals.reshape(vals.shape[:-1] + pts.shape)
 
 
 def _panels(f, lo, hi, nodes, weights, cuts=()):
-    """Gauss-Legendre integrals of f over each [lo[i], hi[i]] from one call of f,
-    as one array per block of panels between the indices in cuts; each of shape
-    (k,), or (m, k) when f returns m rows.
+    """Gauss-Legendre integrals of f over each [lo[i], hi[i]], as one array per
+    group of panels between the indices in cuts; each of shape (k,), or (m, k)
+    when f returns m rows.
 
-    Each block is weighted on its own, because BLAS can round a panel's
-    weighted sum differently at another position in a larger block."""
+    f is called once per block of _BLOCK panels, and the blocks fill one array
+    of values. Each group is weighted on its own, because BLAS can round a
+    panel's weighted sum differently at another position in a larger array."""
     mids = 0.5 * (hi + lo)
     halfs = 0.5 * (hi - lo)
-    pts = mids[:, None] + halfs[:, None] * nodes[None, :]
-    vals = np.asarray(f(pts.ravel()))
-    vals = vals.reshape(vals.shape[:-1] + pts.shape)
+    if lo.size <= _BLOCK:
+        vals = _values(f, mids, halfs, nodes)
+    else:
+        vals = None
+        for i in range(0, lo.size, _BLOCK):
+            block = _values(f, mids[i:i + _BLOCK], halfs[i:i + _BLOCK], nodes)
+            if vals is None:
+                vals = np.empty(block.shape[:-2] + (lo.size, nodes.size))
+            vals[..., i:i + _BLOCK, :] = block
     edges = (0, *cuts, lo.size)
     return [halfs[i:j] * (np.ascontiguousarray(vals[..., i:j, :]) @ weights)
             for i, j in zip(edges, edges[1:])]
@@ -41,8 +65,8 @@ def _panels(f, lo, hi, nodes, weights, cuts=()):
 def integrate(f, a, b, breakpoints=(), max_panels=100000):
     """Integrate f over [a, b], splitting at interior breakpoints (kinks).
 
-    The first integrand call evaluates each segment between breakpoints and
-    both of its halves; each later call, the halves of the panels still open.
+    The first level evaluates each segment between breakpoints and both of
+    its halves; each later level, the halves of the panels still open.
     Returns a float, or an array of m integrals when f returns m rows."""
     if not b > a:
         return 0.0
@@ -89,7 +113,10 @@ def panel_integrals(f, knots):
     """Fixed 10-point Gauss-Legendre integral of f over each knot interval.
 
     Returns an array of length len(knots) - 1. Accurate to machine precision
-    for integrands that are smooth within each interval.
+    for integrands that are smooth within each interval. f must act
+    elementwise: it is called once per block of at most 512 intervals, and
+    the blocks' values are weighted together in one matrix product, so the
+    bits are those of a single call on every node.
     """
     knots = np.asarray(knots, dtype=float)
     return _panels(f, knots[:-1], knots[1:], _NODES10, _WEIGHTS10)[0]

@@ -71,13 +71,20 @@ def _signless_zeros(pp):
     return pp
 
 
-def _end_slope(h0, h1, m0, m1):
-    # the one-sided three-point slope, set to 0 where its sign differs from
-    # the end interval's and clamped to 3 m0 where the data turn
+def _same_sign(a, b):
+    # np.sign(a) == np.sign(b) on floats: false where either is NaN
+    return (a > 0 and b > 0) or (a < 0 and b < 0) or (a == 0 and b == 0)
+
+
+def _end_slope(h, m):
+    # the one-sided three-point slope from the end interval's width h[0] and
+    # secant m[0] and its neighbour's, set to 0 where its sign differs from
+    # m[0]'s and clamped to 3 m[0] where the data turn; on Python floats
+    (h0, h1), (m0, m1) = h.tolist(), m.tolist()
     d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
+    if not _same_sign(d, m0):
         return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+    if not _same_sign(m0, m1) and abs(d) > 3.0 * abs(m0):
         return 3.0 * m0
     return d
 
@@ -109,8 +116,8 @@ def _pchip(x, y):
             sign = np.sign(m)
             flat = (sign[1:] != sign[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
             d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
-            d[0] = _end_slope(h[0], h[1], m[0], m[1])
-            d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+            d[0] = _end_slope(h[:2], m[:2])
+            d[-1] = _end_slope(h[:-3:-1], m[:-3:-1])
         if not np.isfinite(d).all():
             raise InvalidParams("interpolant slopes must be finite at the knots")
         t = (d[:-1] + d[1:] - 2 * m) / h
@@ -142,12 +149,16 @@ class _Table:
         if slopes is not None:
             self._dpp = _signless_zeros(_pchip(x, slopes))
         self.x = self._pp.x
-        self._scale = (self.x.size - 1) / (self.x[-1] - self.x[0])
-        # the guess is monotone in q, so it is within one interval of every
-        # point's interval when it is for every knot
+        self._step = (self.x.size - 1) / (self.x[-1] - self.x[0])  # knots per unit of q
+
+    @functools.cached_property
+    def _scale(self):
+        # _step where the guess, monotone in q, is within one interval at
+        # every knot, and so at every point; else None. Computed on the first
+        # numpy-sized read, from the knots alone, so that worker threads that
+        # make that read together all get the finished value
         miss = self._guess(self.x) - np.arange(self.x.size)
-        if np.any((miss < -1) | (miss > 0)):
-            self._scale = None
+        return None if np.any((miss < -1) | (miss > 0)) else self._step
 
     @functools.cached_property
     def _dpp(self):
@@ -158,7 +169,7 @@ class _Table:
     def _guess(self, q):
         # NaN and +inf guess the last interval, as searchsorted sorts them
         g = q - self.x[0]
-        g *= self._scale
+        g *= self._step
         np.maximum(g, 0.0, out=g)
         return np.fmin(g, self.x.size - 2, out=g).astype(np.intp)
 
@@ -272,7 +283,12 @@ class GridFunction:
         self.values = np.asarray(values, dtype=float)
         if np.any(np.diff(self.values) <= 0):
             raise NonMonotone("values must be strictly increasing")
-        if np.any(self._table.slope(self.knots) <= 0):
+        # at each knot but the last the slope reads s = 0, so it is the PCHIP
+        # slope c[2] (NaN where the cubic's other coefficients overflow): only
+        # where one of those is not positive must every knot be read
+        table = self._table
+        knots = self.knots if np.any(table._pp.c[2] <= 0) else self.knots[-1:]
+        if np.any(table.slope(knots) <= 0):
             raise NonMonotone("interpolant derivative must be positive on the knot range")
 
     @classmethod
@@ -490,12 +506,13 @@ class GPDistribution(DistributionModel):
             out = np.exp(-z) / p.sigma
             return np.where(z < 0, 0.0, out)
         base = self._base(x, z)
-        inside = (z >= 0) & (base > 0)
-        out = np.zeros_like(z)
-        out[inside] = base[inside] ** (-1.0 / p.xi - 1.0) / p.sigma
-        # bounded-support endpoint: finite limit only for xi = -1
-        if p.xi == -1:
-            out[(z >= 0) & (base == 0)] = 1.0 / p.sigma
+        # bounded-support endpoint: finite limit only for xi = -1, where the
+        # power is base ** 0 = 1
+        inside = (z >= 0) & ((base >= 0) if p.xi == -1 else (base > 0))
+        # the power only inside, and through the ufunc: a 0-d base is a numpy
+        # scalar, whose ** rounds differently
+        out = np.power(base, -1.0 / p.xi - 1.0, out=np.zeros_like(z), where=inside)
+        out /= p.sigma
         return out
 
     def isf(self, u):

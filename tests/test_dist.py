@@ -1,6 +1,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from shadecraft import dist, shade
 from shadecraft._quad import integrate
@@ -88,6 +90,56 @@ def test_gp_sf_and_pdf_near_a_bounded_top_against_mpmath(params):
     np.testing.assert_allclose(m.sf(xs), sf, rtol=1e-14, atol=0)
     np.testing.assert_allclose(m.cdf(xs), 1.0 - np.array(sf), rtol=1e-15, atol=0)
     np.testing.assert_allclose(m.pdf(xs), pdf, rtol=1e-14, atol=0)
+
+
+def _masked_gp_pdf(model, x):
+    """GPDistribution.pdf as a boolean gather and scatter: the power is taken
+    only inside the support, and the xi = -1 top is set to 1/sigma."""
+    p = model.params
+    x = np.asarray(x, dtype=float)
+    z = (x - p.mu) / p.sigma
+    if p.xi == 0:
+        return np.where(z < 0, 0.0, np.exp(-z) / p.sigma)
+    base = model._base(x, z)
+    inside = (z >= 0) & (base > 0)
+    out = np.zeros_like(z)
+    out[inside] = base[inside] ** (-1.0 / p.xi - 1.0) / p.sigma
+    if p.xi == -1:
+        out[(z >= 0) & (base == 0)] = 1.0 / p.sigma
+    return out
+
+
+def _pdf_outcome(pdf, x, **errstate):
+    """(type, shape, bytes) of pdf(x), or the floating-point error it raises."""
+    with np.errstate(**errstate):
+        try:
+            out = pdf(x)
+        except FloatingPointError as e:
+            return str(e)
+    return type(out), np.shape(out), np.asarray(out).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-10.0, 10.0), st.floats(0.01, 10.0),
+       st.one_of(st.sampled_from([-1.0, -3.0, 0.0, -0.5]), st.floats(-3.0, 0.0)))
+def test_gp_pdf_is_the_masked_formula_byte_for_byte(mu, sigma, xi):
+    # inside the support, at both ends, one ulp beyond each, at +-inf and at
+    # NaN; as 1-d, 2-d and 0-d arrays, with every floating-point error
+    # raising (the benchmark runs with RuntimeWarning as an error), and again
+    # with underflow, which the power can reach inside, ignored
+    try:
+        model = dist.make_gp(mu, sigma, xi)
+    except InvalidParams:  # xi so close to 0 that the top overflows
+        reject()
+    lo, hi = model.support
+    span = hi - lo if np.isfinite(hi) else 40.0 * sigma
+    x = np.concatenate([lo + span * np.linspace(0.0, 1.0, 18)[1:-1],
+                        [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                         np.inf, -np.inf, np.nan, np.nan]])
+    for xs in (x, x.reshape(6, 4), *x):
+        for errstate in ({"all": "raise"}, {"all": "raise", "under": "ignore"}):
+            assert _pdf_outcome(model.pdf, xs, **errstate) \
+                == _pdf_outcome(lambda v: _masked_gp_pdf(model, v), xs, **errstate)
 
 
 class TestVirtualValue:
@@ -197,6 +249,16 @@ class TestGridFunction:
         xs = np.linspace(0, 1, 65)
         g = dist.GridFunction(xs, xs ** 3 + xs)
         assert np.all(g.derivative(np.linspace(0, 1, 200)) > 0)
+
+    @pytest.mark.parametrize("y", [[0.0, 1.0, 10.0, 12.0], [0.0, 1.0, 3.0, 3.1]],
+                             ids=["first", "last"])
+    def test_rejects_a_flat_end(self, y):
+        # increasing values whose PCHIP end slope is set to 0, where the
+        # one-sided slope's sign differs from the end secant's: at the first
+        # knot (a zero among the pieces' slopes), or only at the last knot,
+        # whose slope is read from the last piece
+        with pytest.raises(NonMonotone, match="derivative must be positive"):
+            dist.GridFunction(np.arange(4.0), y)
 
 
 class TestTransformDistribution:

@@ -80,7 +80,8 @@ def _ref_panel_integrals(f, knots):
     mids = 0.5 * (knots[1:] + knots[:-1])
     halfs = 0.5 * (knots[1:] - knots[:-1])
     pts = mids[:, None] + halfs[:, None] * _N10[None, :]
-    vals = f(pts.ravel()).reshape(pts.shape)
+    vals = np.asarray(f(pts.ravel()))
+    vals = vals.reshape(vals.shape[:-1] + pts.shape)
     return halfs * (vals @ _W10)
 
 
@@ -171,6 +172,60 @@ def test_panel_integrals_bit_equal_on_gamma_integrand(model):
     f = lambda t: np.asarray(h(t)) * model.pdf(t)
     xs = model.default_grid((0.5,))
     np.testing.assert_array_equal(_quad.panel_integrals(f, xs), _ref_panel_integrals(f, xs))
+
+
+# panel_integrals' block in intervals: it calls its integrand on at most
+# 5,120 points (512 intervals of 10) at a time
+_BLOCK = 512
+_BLOCK_MODELS = [(0.0, 1.0, -1.0), (0.0, 1.0, -0.5), (0.0, 1.0, -0.2), (0.0, 1.0, 0.0)]
+
+
+def _first_price_integrand(model, k):
+    # the integrand shade._first_price_table builds
+    return lambda t: t * (k - 1) * model.cdf(t) ** (k - 2) * model.pdf(t)
+
+
+def _gamma_integrand(model):
+    # the integrand gamma_from_target builds for the K=2 first-price bid
+    h = shade.first_price_bid(model, 2)
+    return lambda t: np.asarray(h(t)) * model.pdf(t)
+
+
+def _assert_blocked_bytes(f, knots):
+    """panel_integrals(f, knots) is byte-equal to the one-call reference, and
+    each of its integrand calls takes at most one block of intervals."""
+    sizes = []
+
+    def counted(t):
+        sizes.append(t.size)
+        return f(t)
+
+    got = _quad.panel_integrals(counted, knots)
+    want = _ref_panel_integrals(f, knots)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    intervals = len(knots) - 1
+    assert len(sizes) == -(-intervals // _BLOCK)
+    assert sum(sizes) == 10 * intervals and max(sizes) <= 10 * _BLOCK
+
+
+@pytest.mark.parametrize("params", _BLOCK_MODELS, ids=["uniform", "gp-0.5", "gp-0.2", "gp0"])
+@pytest.mark.parametrize("kinks", [(), ((1 + 1e-6) / 2,)], ids=["grid", "grid+x_eps"])
+def test_panel_integrals_bit_equal_across_blocks(params, kinks):
+    # the set-up tables' integrands on their 2,048-knot grids (4 blocks), with
+    # the one-vs-uniform kink x_eps at K=3 as an extra knot
+    model = dist.make_gp(*params)
+    xs = model.default_grid(kinks)
+    for f in [_first_price_integrand(model, k) for k in range(2, 7)] + [_gamma_integrand(model)]:
+        _assert_blocked_bytes(f, xs)
+
+
+@pytest.mark.parametrize("intervals", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_panel_integrals_bit_equal_at_block_edges(intervals):
+    model = dist.make_gp(0.0, 1.0, -0.5)
+    xs = model.default_grid()[:intervals + 1]
+    f, g = _first_price_integrand(model, 3), _gamma_integrand(model)
+    for integrand in (f, g, lambda t: np.stack([f(t), g(t)])):
+        _assert_blocked_bytes(integrand, xs)
 
 
 def test_budget_exhaustion_warns():
@@ -311,3 +366,23 @@ def test_depth_cap_gives_the_same_bytes(rows):
     # the panel holding the jump is still open at depth 48: the cap warns
     with pytest.warns(IntegrationWarning, match=r"\[0\.0, 1\.0\] reached depth 48 unresolved"):
         _quad.integrate(f, 0.0, 1.0, breakpoints=(0.75,))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_levels_over_a_block_give_the_same_bytes(rows):
+    # 299 breakpoints put 900 panels in the first level, and the 300 cusps of
+    # sqrt|sin(300 pi x)|, each the midpoint of a segment, keep ~2,400 panels
+    # open for 40-odd levels: each level over 512 panels takes one integrand
+    # call per block of 512
+    cusp = lambda x: np.sqrt(np.abs(np.sin(300 * np.pi * x)))
+    f = cusp if rows == 1 else (lambda x: np.stack([cusp(x) * (j + 1) for j in range(rows)]))
+    breaks = tuple(np.linspace(0.0, 1.0, 301)[1:-1] + 1 / 600)
+    got, calls, warned = _traced(_quad.integrate, f, 0.0, 1.0, breakpoints=breaks)
+    ref, ref_calls, ref_warned = _traced(_two_call_integrate, f, 0.0, 1.0, breakpoints=breaks)
+    assert warned == ref_warned == []
+    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+    assert max(c.size for c in calls) <= 15 * _BLOCK
+    assert max(c.size for c in ref_calls) > 15 * _BLOCK
+    assert len(calls) > len(ref_calls)
+    points = np.sort(np.concatenate(calls))
+    assert points.tobytes() == np.sort(np.concatenate(ref_calls)).tobytes()

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -141,6 +144,32 @@ class TestFirstPriceTableIsShared:
         with pytest.raises(NonMonotone):
             shade.equilibrium_shading(m, 3)
         assert len(builds) == 3
+
+
+def _traced_build(build):
+    """(peak, held, result): build()'s peak traced allocation above its start
+    and what is still allocated after it returns, in bytes, and its result."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = build()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, held, result
+
+
+def test_table_builds_run_in_bounded_working_memory():
+    # quadrature evaluates the integrand a block of 512 intervals at a time,
+    # so neither build holds a temporary of all 20,470 nodes: the peaks read
+    # 1,236 KB in one integrand call and 526 KB in blocks. What a build
+    # keeps is its table (~150 KB)
+    shade.first_price_bid(dist.make_gp(0.0, 1.0, -0.5), 3)  # first-use costs
+    model = dist.make_gp(0.0, 1.0, -0.5)
+    peak, held, table = _traced_build(lambda: shade.first_price_bid(model, 3))
+    assert peak <= 700e3 and held <= 200e3 and table.knots.size == 2048
+    peak, held, _ = _traced_build(lambda: shade.gamma_from_target(model, table))
+    assert peak <= 700e3 and held <= 200e3
 
 
 class TestEquilibriumShading:

@@ -12,6 +12,8 @@ inside, exactly at the knots, one ulp either side of them, beyond both ends,
 NaN, +-inf, 0-d, empty and 2-d.
 """
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -204,3 +206,22 @@ def test_grid_function_keeps_the_shape_and_the_last_knot(shape, limit):
         got = g(q)
     assert type(got) is type(want)
     assert_same_bits(got, want)
+
+
+def test_first_numpy_reads_from_many_threads_agree():
+    # a table checks its knots on its first numpy-sized read, and Monte Carlo
+    # workers are threads that may make that read together: every thread
+    # must see the finished check. Fresh tables, 8 threads on 2 cores, and a
+    # 1 us switch interval; the knots are equispaced or not
+    q = np.linspace(1.0, 1e3, 2048)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for x in [np.geomspace(1.0, 1e3, 300), np.linspace(1.0, 1e3, 300)] * 15:
+            table = dist._Table(x, np.arange(x.size, dtype=float))
+            with ThreadPoolExecutor(8) as pool:
+                got = list(pool.map(table.interval, [q] * 8))
+            for i in got:
+                np.testing.assert_array_equal(i, np.searchsorted(x[1:-1], q, side="right"))
+    finally:
+        sys.setswitchinterval(interval)

@@ -5,19 +5,24 @@
 Each pair starts both checkouts at once as live processes, one per checkout.
 A process imports the library and the workload from its own checkout (src/
 and perfbench/workloads.py), runs the set-up at seed 1 + pair index and one
-untimed pass, and then waits. The two processes then take turns: single
-timed passes alternate between them, --passes each, and only one runs at a
-time. The side that goes first alternates from one pass to the next, and
-between pairs (the parent opens pairs 1, 3, 5, ...). Host drift during a pair
-thus falls on both sides alike, a pass apart, rather than on whichever
-process happened to run later. A side's reading is the mean wall and CPU time
-of its passes, with no scaling to a nominal host speed. Both sides of a pair
-use the same seed.
+untimed pass, and then waits. The two processes then take turns, --passes
+rounds of them: in a round, single timed set-ups alternate between them, and
+then single timed passes, and only one runs at a time. A set-up's result is
+dropped at once, as perfbench's set-up batches drop theirs, so each set-up
+allocates its tables afresh next to the live state of the pass, and the minor
+page faults it takes (from getrusage) are counted. The side that goes first
+alternates from one round to the next, and between pairs (the parent opens
+pairs 1, 3, 5, ...). Host drift during a pair thus falls on both sides alike,
+a call apart, rather than on whichever process happened to run later. A
+side's pass reading is the mean wall and CPU time of its passes, with no
+scaling to a nominal host speed. Both sides of a pair use the same seed.
 
 The report gives each side's median wall and CPU time, the paired ratio
 change/parent of wall time (median and quartiles), the number of pairs the
 change won (ratio below 1), failed operations per side, and whether the
-workload's `tools/fingerprint.py` hash is equal on both sides. It also gives
+workload's `tools/fingerprint.py` hash is equal on both sides. For set-up it
+gives each side's median wall time of one set-up, unscaled, and its median
+minor page faults per set-up, over every set-up of every pair. It also gives
 each side's traced work counts (every metric in unit "count" of one
 `perfbench/run.py --trace 1` run at seed 1, in a fresh process per side) and
 prints each count that differs. The last line of standard output is one JSON
@@ -26,6 +31,7 @@ object with the same numbers.
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -41,7 +47,8 @@ TOOLS = Path(__file__).resolve().parent
 def serve(root, workload_name, seed):
     """One side in this process. After the set-up and an untimed pass it
     answers each "pass" line on standard input with one timed pass,
-    {"wall_s", "cpu_s"}, and "end" with {"failed", "fingerprint"}."""
+    {"wall_s", "cpu_s"}, each "setup" line with one timed set-up whose result
+    is dropped, {"setup_s", "faults"}, and "end" with {"failed", "fingerprint"}."""
     root = Path(root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench"), str(TOOLS)]
     import shadecraft
@@ -76,6 +83,12 @@ def serve(root, workload_name, seed):
             w0, c0 = time.perf_counter(), time.process_time()
             one_pass()
             say({"wall_s": time.perf_counter() - w0, "cpu_s": time.process_time() - c0})
+        elif line.strip() == "setup":
+            f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            w0 = time.perf_counter()
+            workload.setup(seed)
+            say({"setup_s": time.perf_counter() - w0,
+                 "faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0})
         else:
             say({"failed": failed, "fingerprint": _workload_hash(workload)})
             return
@@ -112,22 +125,27 @@ class Side:
 
 
 def run_pair(roots, workload, seed, passes, first):
-    """{name: {"wall_s", "cpu_s", "failed", "fingerprint"}} for one pair; the
-    side at index `first` of `roots` opens with its first pass."""
+    """{name: {"wall_s", "cpu_s", "setups", "failed", "fingerprint"}} for one
+    pair, "setups" being each set-up's {"setup_s", "faults"}; the side at
+    index `first` of `roots` opens the first round."""
     sides = {name: Side(root, workload, seed) for name, root in roots.items()}
     try:
         for s in sides.values():
             s.read()  # set up and warmed
         names = list(sides)
         times = {name: [] for name in names}
+        setups = {name: [] for name in names}
         for j in range(passes):
-            for name in (names if (first + j) % 2 == 0 else names[::-1]):
+            order = names if (first + j) % 2 == 0 else names[::-1]
+            for name in order:
+                setups[name].append(sides[name].ask("setup"))
+            for name in order:
                 times[name].append(sides[name].ask("pass"))
         out = {}
         for name, s in sides.items():
             out[name] = {"wall_s": statistics.fmean(t["wall_s"] for t in times[name]),
                          "cpu_s": statistics.fmean(t["cpu_s"] for t in times[name]),
-                         **s.ask("end")}
+                         "setups": setups[name], **s.ask("end")}
         return out
     finally:
         for s in sides.values():
@@ -176,10 +194,13 @@ def main(argv=None):
 
     report = {"workload": args.workload, "pairs": args.pairs, "passes": args.passes}
     for name, rs in runs.items():
+        setups = [u for r in rs for u in r["setups"]]
         report[name] = {
             "wall_s": [r["wall_s"] for r in rs],
             "wall_s_median": statistics.median(r["wall_s"] for r in rs),
             "cpu_s_median": statistics.median(r["cpu_s"] for r in rs),
+            "setup_s_median": statistics.median(u["setup_s"] for u in setups),
+            "setup_faults_median": statistics.median(u["faults"] for u in setups),
             "failed": sum(r["failed"] for r in rs),
         }
     ratios = [c["wall_s"] / p["wall_s"] for p, c in zip(runs["parent"], runs["change"])]
@@ -198,7 +219,9 @@ def main(argv=None):
     for name in runs:
         r = report[name]
         print(f"{name}: wall median {r['wall_s_median']:.4f} s, "
-              f"cpu median {r['cpu_s_median']:.4f} s, failed ops {r['failed']}")
+              f"cpu median {r['cpu_s_median']:.4f} s, failed ops {r['failed']}; "
+              f"set-up median {r['setup_s_median']:.4f} s, "
+              f"{r['setup_faults_median']:g} minor faults per set-up")
     print(f"ratio change/parent: median {med:.3f} [q1-q3 {q1:.3f}-{q3:.3f}], "
           f"change faster in {report['change_wins']} of {args.pairs} pairs")
     print(f"fingerprints equal: {report['fingerprints_equal']}")
