@@ -41,6 +41,9 @@ INF_TRUNC_Q = 1.0 - 1e-10  # quantile at which unbounded supports are truncated 
 # under 256 points in quadrature and ~22k in Monte Carlo.
 _NUMPY_MIN_POINTS = 1024
 _NUMPY_MIN_PAIR_POINTS = 256
+# the ufunc np.clip ends in, after ~2 us of Python; private to numpy, and held
+# to np.clip's bits by tests/test_table.py
+_clip = np._core.umath.clip
 
 
 def _power_sums(cs, i, s):
@@ -184,7 +187,7 @@ class _Table:
         up = q >= x[1:][i]
         down = q < left
         if up.any() or down.any():  # the guess is one interval off somewhere
-            i = np.clip(i + up - down, 0, x.size - 2)
+            i = _clip(i + up - down, 0, x.size - 2)
             left = x[i]
         return i, np.subtract(q, left, out=left)
 
@@ -220,7 +223,7 @@ class _Table:
         return self._eval(q, self._pp, self._dpp)
 
     def _newton(self, y, x, lo, hi, cap):
-        x = np.clip(x, lo, hi)
+        x = _clip(x, lo, hi)
         value, slope = self.value_and_slope(x)
         # np.clip(slope, 1e-12, None) is this maximum, behind ~3 us of Python
         step = (value - y) / np.maximum(slope, 1e-12)
@@ -247,7 +250,7 @@ class _Table:
                 if not np.count_nonzero(step):
                     break
             flat[live] = q
-        return np.clip(x, lo, hi)
+        return _clip(x, lo, hi)
 
 
 @dataclass(frozen=True)
@@ -451,7 +454,7 @@ def _check_within(v, bounds, tol, what):
     """OutOfSupport if any of v is outside (lo, hi) by over tol * span (1 if hi is inf)."""
     lo, hi = bounds
     span = (hi - lo) if np.isfinite(hi) else 1.0
-    if np.any(v < lo - tol * span) or np.any(v > hi + tol * span):
+    if (v < lo - tol * span).any() or (v > hi + tol * span).any():
         raise OutOfSupport(f"{what} [{lo}, {hi}]")
 
 
@@ -490,6 +493,8 @@ class GPDistribution(DistributionModel):
     def sf(self, x):
         p = self.params
         x = np.asarray(x, dtype=float)
+        if not x.ndim:  # as a batch of one: numpy's scalar ** rounds differently
+            return self.sf(x.reshape(1)).reshape(())
         z = (x - p.mu) / p.sigma
         if p.xi == 0:
             out = np.exp(-np.maximum(z, 0.0))
@@ -511,7 +516,7 @@ class GPDistribution(DistributionModel):
         inside = (z >= 0) & ((base >= 0) if p.xi == -1 else (base > 0))
         # the power only inside, and through the ufunc: a 0-d base is a numpy
         # scalar, whose ** rounds differently
-        out = np.power(base, -1.0 / p.xi - 1.0, out=np.zeros_like(z), where=inside)
+        out = np.power(base, -1.0 / p.xi - 1.0, out=np.zeros(z.shape), where=inside)
         out /= p.sigma
         return out
 
@@ -519,7 +524,7 @@ class GPDistribution(DistributionModel):
         """Closed form in u, so that x stays finite for u below one ulp of 1."""
         p = self.params
         u = np.asarray(u, dtype=float)
-        if np.any(u < 0) or np.any(u > 1):
+        if (u < 0).any() or (u > 1).any():
             raise InvalidParams("probability argument must lie in [0, 1]")
         if p.xi == 0:
             with np.errstate(divide="ignore"):
@@ -536,12 +541,12 @@ class GPDistribution(DistributionModel):
 
     # psi(x) = (1 - xi)(x - r*) is affine
     def virtual_value_clamped(self, x):
-        x = np.clip(np.asarray(x, dtype=float), *self.psi_domain)
+        x = _clip(np.asarray(x, dtype=float), *self.psi_domain)
         return (1.0 - self.params.xi) * (x - self.monopoly_price())
 
     def _inverse_virtual_clamped(self, t):
         x = np.asarray(t, dtype=float) / (1.0 - self.params.xi) + self.monopoly_price()
-        return np.clip(x, *self.psi_domain)
+        return _clip(x, *self.psi_domain)
 
     def virtual_value_slope(self, x):
         return 1.0 - self.params.xi
@@ -623,34 +628,34 @@ class GridDistribution(DistributionModel):
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
         # the first piece starts at the first knot, where it is cdf_values[0]
-        out = self._F(np.clip(x, self.knots[0], self.knots[-1]))
+        out = self._F(_clip(x, self.knots[0], self.knots[-1]))
         out = np.where(x > self.knots[-1], self.cdf_values[-1], out)
-        return np.clip(out, 0.0, 1.0)
+        return _clip(out, 0.0, 1.0)
 
     def pdf(self, x):
         x = np.asarray(x, dtype=float)
         inside = (x >= self.knots[0]) & (x <= self.knots[-1])
-        out = np.zeros_like(x, dtype=float)
+        out = np.zeros(x.shape)
         out[inside] = np.maximum(self._F.slope(x[inside]), 0.0)
         return out
 
     def quantile(self, q):
         q = np.asarray(q, dtype=float)
-        if np.any(q < 0) or np.any(q > 1):
+        if (q < 0).any() or (q > 1).any():
             raise InvalidParams("quantile argument must lie in [0, 1]")
-        qc = np.clip(q, self.cdf_values[0], self.cdf_values[-1])
+        qc = _clip(q, self.cdf_values[0], self.cdf_values[-1])
         return self._F.invert(qc, self._Q(qc), self.knots[0], self.knots[-1])
 
     def mean(self):
         return float(np.sum(_quad.panel_integrals(lambda t: t * self.pdf(t), self.knots)))
 
     def virtual_value_clamped(self, x):
-        return self._psi(np.clip(np.asarray(x, dtype=float), *self.psi_domain))
+        return self._psi(_clip(np.asarray(x, dtype=float), *self.psi_domain))
 
     def _inverse_virtual_clamped(self, t):
         if not self.is_regular:
             raise NonRegular("virtual value is not increasing on the grid")
-        t = np.clip(np.asarray(t, dtype=float), self._psi_values[0], self._psi_values[-1])
+        t = _clip(np.asarray(t, dtype=float), self._psi_values[0], self._psi_values[-1])
         lo, hi = self.psi_domain
         # damped: a step is skipped in near-flat regions of psi
         return self._psi.invert(t, self._psi_inv(t), lo, hi, cap=0.05 * (hi - lo))

@@ -47,7 +47,7 @@ def _law_of_max(t, law, competitors, density=False):
     competitors, from law(c) = (F_c(t), f_c(t) or None), read once per distinct one."""
     laws = _each_distinct(law, competitors)
     cdfs = [cdf for cdf, _ in laws]
-    cdf = reduce(np.multiply, cdfs, np.ones_like(t))
+    cdf = reduce(np.multiply, cdfs, np.ones(t.shape))
     if not density:
         return cdf, None
     return cdf, _product_density(t, cdfs, [pdf for _, pdf in laws])
@@ -55,7 +55,7 @@ def _law_of_max(t, law, competitors, density=False):
 
 def _product_density(t, cdfs, pdfs):
     """Derivative of prod_i F_i: sum_i f_i prod_{j != i} F_j, summed in index order."""
-    out = np.zeros_like(t)
+    out = np.zeros(t.shape)
     for i, p in enumerate(pdfs):
         for j, c in enumerate(cdfs):
             if j != i:
@@ -150,7 +150,7 @@ def _clearing_point(h, lo, hi):
     probe interval that brackets it."""
     xs = np.linspace(lo, hi, 257)
     hs = h(xs)
-    if np.any(np.diff(hs) < -1e-9):
+    if (np.diff(hs) < -1e-9).any():
         raise NonRegular("induced virtualized bid must be increasing")
     if hs[0] >= 0:
         return lo
@@ -387,7 +387,7 @@ def directional_derivative(d1, beta, rho, z: CompetitionDistribution):
     lo, hi = d1.support[0], d1.grid_upper()
     probe = np.linspace(lo, hi, 512)
     # beta and beta +- 1e-6 rho all increasing
-    if np.any(beta.derivative(probe) <= 1e-6 * np.abs(slope(probe))):
+    if (beta.derivative(probe) <= 1e-6 * np.abs(slope(probe))).any():
         raise NonMonotone("perturbation breaks monotonicity of the bid function")
 
     h = partial(virtualize, d1, beta, beta.derivative)
@@ -451,7 +451,7 @@ def _grad_psi_of_s(p: GPParams, s):
     s = np.asarray(s, dtype=float)
     w = p.xi * s
     exp_w, expm1_w = np.exp(w), np.expm1(w)
-    g_mu = np.ones_like(s)
+    g_mu = np.ones(s.shape)
     g_sigma = expm1_w / p.xi - exp_w
     # sigma/xi^2 [1 - e^w + (1 - xi) w e^w] = sigma/xi^2 [(1 - e^w(1-w)) - xi w e^w]
     g_xi = (p.sigma / p.xi ** 2) * (_one_minus_exp_with_slope(w, exp_w, expm1_w)

@@ -9,6 +9,9 @@ scipy's PchipInterpolator, and only dist._Table calls scipy's private
 compiled PPoly evaluation. A model family implements one rule of each pair
 cdf/sf and quantile/isf; the base derives the other. The payoff engines
 integrate in four places only, and the clearing point is found in one.
+Per-call paths call no numpy wrapper that ends in a ufunc, constructor or
+array method they can call themselves, and only dist._clip reaches numpy's
+private core modules.
 """
 
 import ast
@@ -169,3 +172,84 @@ def test_scan_sees_a_call():
     tree = ast.parse("class T:\n    def f(self, q, out):\n        self._pp._evaluate(q, 0, True, out)\n"
                      "pp._evaluate(q, 0, True, out)\n")
     assert list(_callers(tree, "_evaluate")) == [(3, "T"), (4, None)]
+
+
+# numpy's Python wrappers that a per-call path skips: each ends in a ufunc,
+# an array method or a constructor the path calls itself (dist._clip,
+# np.zeros(shape), np.ones(shape), ndarray.any), for ~2 us less per call
+WRAPPERS = ("np.clip", "np.zeros_like", "np.ones_like", "np.any")
+PER_CALL = {
+    "dist.py": ("_Table._locate", "_Table._newton", "_Table.invert", "_check_within",
+                "GPDistribution.sf", "GPDistribution.pdf", "GPDistribution.isf",
+                "GPDistribution.virtual_value_clamped", "GPDistribution._inverse_virtual_clamped",
+                "GridDistribution.cdf", "GridDistribution.pdf", "GridDistribution.quantile",
+                "GridDistribution.virtual_value_clamped",
+                "GridDistribution._inverse_virtual_clamped"),
+    "payoff.py": ("_law_of_max", "_product_density", "_clearing_point",
+                  "directional_derivative", "_grad_psi_of_s"),
+}
+
+
+def _definitions(tree):
+    """{name: node} of each top-level function and, as "Class.name", each
+    method of a top-level class."""
+    out = {}
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            out.update({f"{top.name}.{f.name}": f for f in top.body
+                        if isinstance(f, ast.FunctionDef)})
+        elif isinstance(top, ast.FunctionDef):
+            out[top.name] = top
+    return out
+
+
+def _wrapper_calls(node):
+    """(line, name) of each call under node to one of WRAPPERS, as the source spells it."""
+    return [(n.lineno, ast.unparse(n.func)) for n in ast.walk(node)
+            if isinstance(n, ast.Call) and ast.unparse(n.func) in WRAPPERS]
+
+
+def test_per_call_paths_skip_numpys_python_wrappers():
+    found = []
+    for file, names in PER_CALL.items():
+        defs = _definitions(ast.parse((SRC / file).read_text()))
+        assert set(names) <= defs.keys(), f"{file}: a per-call path was renamed"
+        found += [f"{file}:{line}: {call} in {name}" for name in names
+                  for line, call in _wrapper_calls(defs[name])]
+    assert not found, "numpy wrapper on a per-call path:\n" + "\n".join(found)
+
+
+def test_scan_sees_a_wrapper_call():
+    tree = ast.parse("class T:\n    def f(self, x):\n        return np.clip(x, 0, 1)\n"
+                     "def g(t):\n    return np.zeros_like(t) + np.zeros(t.shape)\n")
+    defs = _definitions(tree)
+    assert sorted(defs) == ["T.f", "g"]
+    assert _wrapper_calls(defs["T.f"]) == [(3, "np.clip")]
+    assert _wrapper_calls(defs["g"]) == [(5, "np.zeros_like")]
+
+
+def _private_numpy_uses(tree):
+    """The top-level name (an assignment's target, a definition's name, or
+    None) under which each use of numpy's private core modules appears."""
+    for top in tree.body:
+        name = ast.unparse(top.targets[0]) if isinstance(top, ast.Assign) \
+            else getattr(top, "name", None)
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute) and node.attr in ("_core", "core")) \
+                    or (isinstance(node, ast.ImportFrom)
+                        and (node.module or "").startswith(("numpy._core", "numpy.core"))):
+                yield name
+
+
+def test_one_alias_reaches_numpys_private_clip():
+    # np._core.umath.clip is private to numpy; dist._clip is its one alias,
+    # and tests/test_table.py's byte tests hold it to np.clip
+    found = [(path.name, name) for path in sorted(SRC.rglob("*.py"))
+             for name in _private_numpy_uses(ast.parse(path.read_text(), str(path)))]
+    assert found == [("dist.py", "_clip")]
+
+
+def test_scan_sees_a_private_numpy_use():
+    tree = ast.parse("_clip = np._core.umath.clip\nfrom numpy._core import umath\n"
+                     "def f(x):\n    return np.core.umath.clip(x, 0, 1)\n")
+    assert list(_private_numpy_uses(tree)) == ["_clip", None, "f"]

@@ -9,7 +9,8 @@ they exercise both paths whatever their values, and require every read to
 give the same bits as scipy on equispaced knots, on default grids merged
 with kink knots and on strongly non-uniform (geometric) knots, for queries
 inside, exactly at the knots, one ulp either side of them, beyond both ends,
-NaN, +-inf, 0-d, empty and 2-d.
+NaN, +-inf, 0-d, empty and 2-d. `dist._clip`, the clip ufunc that table
+reads and the laws' clamps call in place of np.clip, must give np.clip's bits.
 """
 
 import sys
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.interpolate import PchipInterpolator
 
 from shadecraft import dist, shade
@@ -141,6 +143,43 @@ def test_uniform_equilibrium_tables_take_the_affine_lookup():
     bids = strategy.bid_distribution()
     for table in (strategy.as_grid_function()._table, bids._psi, bids._psi_inv):
         assert table._scale is not None
+
+
+# every float, and the ones where a clip is easiest to get wrong
+EDGE_FLOATS = st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                        st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]))
+
+
+def _clip_outcome(x, lo, hi, clip):
+    out = clip(x, lo, hi)
+    return type(out), np.shape(out), np.asarray(out).dtype, np.asarray(out).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=12),
+                  elements=EDGE_FLOATS), EDGE_FLOATS, EDGE_FLOATS, st.booleans())
+def test_clip_alias_is_np_clip(a, lo, hi, numpy_bounds):
+    # dist._clip is the ufunc np.clip ends in: the same type, shape, dtype
+    # and bytes (NaN payloads and the sign of zero too) for arrays, 0-d
+    # arrays, numpy and Python scalars, Python or numpy bounds (psi_domain,
+    # the knots' ends), lo above hi included
+    if numpy_bounds:
+        lo, hi = np.float64(lo), np.float64(hi)
+    for x in (a, a[()], float(a)) if a.ndim == 0 else (a,):
+        assert _clip_outcome(x, lo, hi, dist._clip) == _clip_outcome(x, lo, hi, np.clip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3000), st.data())
+def test_clip_alias_is_np_clip_on_the_interval_index(n, data):
+    # _locate's corrected guess: an intp index, one off at most, clipped to
+    # the intervals [0, n - 2] by Python int bounds
+    i = data.draw(hnp.arrays(np.intp, hnp.array_shapes(min_dims=1, max_dims=1, max_side=50),
+                             elements=st.integers(0, n - 2)))
+    up = data.draw(hnp.arrays(np.bool_, i.shape))
+    down = data.draw(hnp.arrays(np.bool_, i.shape))
+    j = i + up - down
+    assert _clip_outcome(j, 0, n - 2, dist._clip) == _clip_outcome(j, 0, n - 2, np.clip)
 
 
 def test_signed_zero_at_a_knot():

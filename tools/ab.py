@@ -22,15 +22,19 @@ change/parent of wall time (median and quartiles), the number of pairs the
 change won (ratio below 1), failed operations per side, and whether the
 workload's `tools/fingerprint.py` hash is equal on both sides. For set-up it
 gives each side's median wall time of one set-up, unscaled, and its median
-minor page faults per set-up, over every set-up of every pair. It also gives
-each side's traced work counts (every metric in unit "count" of one
-`perfbench/run.py --trace 1` run at seed 1, in a fresh process per side) and
-prints each count that differs. The last line of standard output is one JSON
+minor page faults per set-up, over every set-up of every pair. After its timed
+passes each side runs one more pass under a profile hook that counts the
+Python-level calls into numpy's and scipy's own modules (wrappers such as
+np.clip, not the compiled loops they end in); the report gives each side's
+count per pair and its median. It also gives each side's traced work counts
+(every metric in unit "count" of one `perfbench/run.py --trace 1` run at seed
+1, in a fresh process per side) and prints each count that differs. The last line of standard output is one JSON
 object with the same numbers.
 """
 
 import argparse
 import json
+import os
 import resource
 import statistics
 import subprocess
@@ -40,15 +44,40 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 TOOLS = Path(__file__).resolve().parent
+# the directories of numpy's and scipy's Python modules
+LIBRARY_DIRS = tuple(str(Path(m.__file__).resolve().parent) + os.sep for m in (np, scipy))
+
+
+def library_calls(fn):
+    """The number of Python-level calls fn() makes into numpy's and scipy's
+    modules, counted by a profile hook: a call is a Python function's frame
+    starting whose code lies under LIBRARY_DIRS. Compiled functions and
+    ufuncs are not Python frames and are not counted."""
+    n = 0
+
+    def hook(frame, event, arg):
+        nonlocal n
+        if event == "call" and frame.f_code.co_filename.startswith(LIBRARY_DIRS):
+            n += 1
+
+    sys.setprofile(hook)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return n
 
 
 def serve(root, workload_name, seed):
     """One side in this process. After the set-up and an untimed pass it
     answers each "pass" line on standard input with one timed pass,
     {"wall_s", "cpu_s"}, each "setup" line with one timed set-up whose result
-    is dropped, {"setup_s", "faults"}, and "end" with {"failed", "fingerprint"}."""
+    is dropped, {"setup_s", "faults"}, and "end" with {"failed", "fingerprint",
+    "library_calls"}, the last from one more pass, profiled and not timed, whose
+    failed operations are not counted."""
     root = Path(root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench"), str(TOOLS)]
     import shadecraft
@@ -68,20 +97,20 @@ def serve(root, workload_name, seed):
     failed = 0
 
     def one_pass():
-        nonlocal failed
+        failed = 0
         for op in ops:
             try:
                 op.call()
             except Exception:  # a failing call is counted, as the benchmark does
                 failed += 1
+        return failed
 
     one_pass()  # lazy tables and first-use costs are not timed
-    failed = 0
     say({"ready": True})
     for line in sys.stdin:
         if line.strip() == "pass":
             w0, c0 = time.perf_counter(), time.process_time()
-            one_pass()
+            failed += one_pass()
             say({"wall_s": time.perf_counter() - w0, "cpu_s": time.process_time() - c0})
         elif line.strip() == "setup":
             f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -90,7 +119,8 @@ def serve(root, workload_name, seed):
             say({"setup_s": time.perf_counter() - w0,
                  "faults": resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0})
         else:
-            say({"failed": failed, "fingerprint": _workload_hash(workload)})
+            say({"library_calls": library_calls(one_pass), "failed": failed,
+                 "fingerprint": _workload_hash(workload)})
             return
 
 
@@ -125,7 +155,8 @@ class Side:
 
 
 def run_pair(roots, workload, seed, passes, first):
-    """{name: {"wall_s", "cpu_s", "setups", "failed", "fingerprint"}} for one
+    """{name: {"wall_s", "cpu_s", "setups", "failed", "fingerprint",
+    "library_calls"}} for one
     pair, "setups" being each set-up's {"setup_s", "faults"}; the side at
     index `first` of `roots` opens the first round."""
     sides = {name: Side(root, workload, seed) for name, root in roots.items()}
@@ -202,6 +233,8 @@ def main(argv=None):
             "setup_s_median": statistics.median(u["setup_s"] for u in setups),
             "setup_faults_median": statistics.median(u["faults"] for u in setups),
             "failed": sum(r["failed"] for r in rs),
+            "library_calls": [r["library_calls"] for r in rs],
+            "library_calls_median": statistics.median(r["library_calls"] for r in rs),
         }
     ratios = [c["wall_s"] / p["wall_s"] for p, c in zip(runs["parent"], runs["change"])]
     q1, med, q3 = (float(q) for q in np.percentile(ratios, [25, 50, 75]))
@@ -221,7 +254,8 @@ def main(argv=None):
         print(f"{name}: wall median {r['wall_s_median']:.4f} s, "
               f"cpu median {r['cpu_s_median']:.4f} s, failed ops {r['failed']}; "
               f"set-up median {r['setup_s_median']:.4f} s, "
-              f"{r['setup_faults_median']:g} minor faults per set-up")
+              f"{r['setup_faults_median']:g} minor faults per set-up; "
+              f"numpy and scipy Python calls per pass {r['library_calls_median']:g}")
     print(f"ratio change/parent: median {med:.3f} [q1-q3 {q1:.3f}-{q3:.3f}], "
           f"change faster in {report['change_wins']} of {args.pairs} pairs")
     print(f"fingerprints equal: {report['fingerprints_equal']}")
