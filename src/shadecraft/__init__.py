@@ -18,5 +18,6 @@ from .mech import (MechanismConfig, AuctionOutcome, run_myerson, run_vcg_lazy,
 from .payoff import (CompetitionDistribution, PayoffEstimate, competition_distribution,
                      gp_competition_ratio, payoff_quadrature, payoff_monte_carlo,
                      linear_payoff_curve, payoff_derivative_alpha,
-                     directional_derivative, bsp_payoff, bsp_payoff_gradient)
+                     directional_derivative, bsp_payoff, bsp_payoff_gradient,
+                     bsp_payoff_and_gradient)
 from .opt import OptResult, maximize_scalar, maximize_bsp

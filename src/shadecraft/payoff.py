@@ -22,6 +22,8 @@ e^-s. It runs from the clearing point s0, where the GP virtualized bid psi
 is 0, to s = 700, and is split at s0 + 2^j (j = -1..9) and wherever psi meets
 a competitor's top virtualized bid (`CompetitionDistribution.tops`). Both
 kinds of split point are closed forms of s at psi = t (`_gp_s_at_virtual`).
+`bsp_payoff_and_gradient` stacks the payoff row on the gradient rows, so an
+optimizer step costs one integral.
 """
 
 import os
@@ -161,13 +163,16 @@ def _clearing_point(h, lo, hi):
                   xtol=_EPS4 * (hi - lo), rtol=_EPS4)
 
 
-def _surplus(z, x, h, direction=None):
+def _surplus(z, x, h, direction=None, value=False):
     """The Myerson surplus (x - h) F_Z(h) at value x and virtualized bid h >= 0,
-    or, given a direction D of h, its first-order term D [(x - h) f_Z(h) - F_Z(h)]."""
+    or, given a direction D of h, its first-order term D [(x - h) f_Z(h) - F_Z(h)],
+    below the surplus as rows of one array if value; Z's law is read once."""
+    net = x - h
     if direction is None:
-        return (x - h) * z.cdf(h)
+        return net * z.cdf(h)
     cdf, pdf = z.law(h, density=True)
-    return direction * ((x - h) * pdf - cdf)
+    term = direction * (net * pdf - cdf)
+    return np.concatenate([(net * cdf)[None], term]) if value else term
 
 
 def _clearing_integral(d1, h, row, kinks=()):
@@ -441,8 +446,9 @@ def _one_minus_exp_with_slope(w, exp_w, expm1_w):
     w = np.asarray(w, dtype=float)
     out = np.asarray(-expm1_w + w * exp_w)  # an array for 0-d w too, to write into
     small = np.abs(w) < 1e-3
-    ws = w[small]
-    out[small] = ws ** 2 / 2 + ws ** 3 / 3 + ws ** 4 / 8 + ws ** 5 / 30 + ws ** 6 / 144
+    if small.any():
+        ws = w[small]
+        out[small] = ws ** 2 / 2 + ws ** 3 / 3 + ws ** 4 / 8 + ws ** 5 / 30 + ws ** 6 / 144
     return out
 
 
@@ -473,7 +479,8 @@ def _bsp_integral(d1, p: GPParams, z: CompetitionDistribution, row):
         u = np.exp(-s)
         return row(s, psi, d1.isf(u)) * u
 
-    breaks = [_gp_s_at_virtual(p, t) for t in z.tops] + list(s0 + _LADDER)
+    # Python floats: integrate sorts a set of them, and numpy scalars sort slowly
+    breaks = [_gp_s_at_virtual(p, t) for t in z.tops] + (s0 + _LADDER).tolist()
     return _quad.integrate(integrand, s0, _S_END, breakpoints=breaks), s0
 
 
@@ -493,18 +500,33 @@ def bsp_payoff_gradient(d1, p: GPParams, z: CompetitionDistribution,
     clearing boundary s0 and is weighted by atom0 and the boundary Jacobian.
     Toggling include_point_mass exposes the first-order variant that neglects it.
     """
+    return _bsp_rows(d1, p, z, include_point_mass, value=False)
+
+
+def bsp_payoff_and_gradient(d1, p: GPParams, z: CompetitionDistribution,
+                            include_point_mass=True):
+    """(bsp_payoff, bsp_payoff_gradient) from one integral: the payoff row on
+    top of the three gradient rows, all four from one read of the competition's
+    law. Each agrees with its own function to ~1 ulp, not bit for bit, since
+    the stacked rows refine their panels together."""
+    out = _bsp_rows(d1, p, z, include_point_mass, value=True)
+    return float(out[0]), out[1:]
+
+
+def _bsp_rows(d1, p: GPParams, z: CompetitionDistribution, include_point_mass, value):
+    """The gradient rows of bsp_payoff_gradient, below the payoff row if value."""
     if p.xi >= 0:
         raise InvalidParams("gradient requires xi < 0")
 
     total, s0 = _bsp_integral(
-        d1, p, z, lambda s, psi, x1: _surplus(z, x1, psi, _grad_psi_of_s(p, s)))
-    out = np.zeros(3) + total
+        d1, p, z, lambda s, psi, x1: _surplus(z, x1, psi, _grad_psi_of_s(p, s), value))
+    out = np.zeros(3 + value) + total
     if include_point_mass and 0.0 < s0 < _S_END:
         # boundary term: grad psi at the clearing point, times atom0 x1 f1(x1),
         # divided by the clearing boundary's slope d psi/dx = (1-xi) sigma u^{-xi-1} f1;
-        # the density cancels
+        # the density cancels. A payoff row, a value and not a derivative, takes none
         u1 = np.exp(-s0)
         x1c = float(d1.isf(u1))
         g_at = _grad_psi_of_s(p, np.asarray([s0]))[:, 0]
-        out += g_at * z.atom0 * x1c * u1 ** (1.0 + p.xi) / ((1.0 - p.xi) * p.sigma)
+        out[-3:] += g_at * z.atom0 * x1c * u1 ** (1.0 + p.xi) / ((1.0 - p.xi) * p.sigma)
     return out

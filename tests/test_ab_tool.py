@@ -1,6 +1,8 @@
 """tools/ab.py's count of Python-level calls into numpy and scipy: a numpy
 wrapper is counted, the compiled function or ufunc it ends in is not, and
-the profile hook is removed afterwards, also when the counted call raises."""
+the profile hook is removed afterwards, also when the counted call raises.
+Its default pass count is sized from the first pair's untimed passes, and
+both sides of a pair time that count, or the one --passes gives."""
 
 import importlib.util
 import sys
@@ -49,3 +51,46 @@ def test_the_hook_is_removed_after_a_raise(ab):
     with pytest.raises(ValueError):
         ab.library_calls(fail)
     assert sys.getprofile() is None
+
+
+def test_the_default_pass_count_times_about_one_span(ab):
+    # SPAN_S over the mean of the two sides' untimed passes, rounded, at least 1
+    assert ab.SPAN_S == 1.0
+    assert ab.passes_for([0.014, 0.016]) == 67
+    assert ab.passes_for([0.25, 0.25]) == 4
+    assert ab.passes_for([0.3, 0.25]) == 4
+    assert ab.passes_for([2.0, 3.0]) == 1
+
+
+class _FakeSide:
+    """A side whose untimed pass took the seconds its root names."""
+
+    def __init__(self, root, workload, seed):
+        self.pass_s, self.asked = root, []
+
+    def read(self):
+        return {"ready": True, "pass_s": self.pass_s}
+
+    def ask(self, command):
+        self.asked.append(command)
+        return {"pass": {"wall_s": 0.1, "cpu_s": 0.1},
+                "setup": {"setup_s": 0.0, "faults": 0}}.get(
+            command, {"failed": 0, "fingerprint": "", "library_calls": 0})
+
+    def close(self):
+        pass
+
+
+@pytest.mark.parametrize("passes, want", [(None, 4), (2, 2)])
+def test_both_sides_time_the_same_sized_or_given_count(ab, monkeypatch, passes, want):
+    sides = []
+
+    def side(*args):
+        sides.append(_FakeSide(*args))
+        return sides[-1]
+
+    monkeypatch.setattr(ab, "Side", side)
+    used, out = ab.run_pair({"parent": 0.2, "change": 0.3}, "bsp-fit", 1, passes, first=0)
+    assert used == want
+    assert [s.asked.count("pass") for s in sides] == [want, want]
+    assert [len(out[name]["setups"]) for name in ("parent", "change")] == [want, want]

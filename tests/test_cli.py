@@ -208,6 +208,18 @@ class TestBspOpt:
         assert capsys.readouterr().err == "optimizer failure: no start converged\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("bounds, restarts", [
+        ([[0.5, 0.0], [0.01, 2.0], [-4.0, -1e-6]], 0),
+        ([[0.5, 0.0], [0.01, 2.0], [-4.0, -1e-6]], 2),
+        ([[0.0, 1.0], [0.01, float("inf")], [-4.0, -1e-6]], 2)])
+    def test_bad_bounds_exit_2(self, tmp_path, capsys, bounds, restarts):
+        out = tmp_path / "bsp.json"
+        cfg = write_config(tmp_path, "c.json", {
+            "value": UNIFORM, "bounds": bounds, "restarts": restarts, "out": str(out)})
+        assert cli.main(["bsp-opt", cfg]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("field,value", [("restarts", -1), ("max_iter", 0)])
     def test_invalid_budget_exits_2(self, tmp_path, capsys, field, value):
         out = tmp_path / "bsp.json"

@@ -9,6 +9,8 @@ scipy's PchipInterpolator, and only dist._Table calls scipy's private
 compiled PPoly evaluation. A model family implements one rule of each pair
 cdf/sf and quantile/isf; the base derives the other. The payoff engines
 integrate in four places only, and the clearing point is found in one.
+maximize_bsp takes the BSP payoff and gradient from one integral, and the
+BSP point-mass term is written once.
 Per-call paths call no numpy wrapper that ends in a ufunc, constructor or
 array method they can call themselves, and only dist._clip reaches numpy's
 private core modules.
@@ -155,6 +157,39 @@ def test_payoff_integrates_in_four_places():
     # the clearing region in x and in s, linear shading and first price
     assert {name for file, name in _src_callers("_quad.integrate") if file == "payoff.py"} \
         == {"_clearing_integral", "_bsp_integral", "_linear_integral", "first_price_payoff"}
+
+
+def test_the_bsp_optimizer_makes_one_integral_per_evaluation():
+    # maximize_bsp takes the payoff and its gradient together, from one integral
+    for callee in ("bsp_payoff", "bsp_payoff_gradient"):
+        assert ("opt.py", "maximize_bsp") not in _src_callers(callee)
+    assert _src_callers("bsp_payoff_and_gradient") == [("opt.py", "maximize_bsp")]
+
+
+def _readers(tree, attr):
+    """The top-level definition (or None) of each read of the attribute attr."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == attr:
+                yield getattr(top, "name", None)
+
+
+def test_the_bsp_point_mass_term_is_written_once():
+    # the competition's atom at 0 is its own (CompetitionDistribution), the
+    # point-mass term in x (directional_derivative) and the one in s (_bsp_rows),
+    # which bsp_payoff_gradient and bsp_payoff_and_gradient share
+    tree = ast.parse((SRC / "payoff.py").read_text())
+    assert set(_readers(tree, "atom0")) == {
+        "CompetitionDistribution", "directional_derivative", "_bsp_rows"}
+    assert {name for _, name in _callers(tree, "_grad_psi_of_s")} == {"_bsp_rows"}
+    assert {name for _, name in _callers(tree, "_bsp_rows")} == {
+        "bsp_payoff_gradient", "bsp_payoff_and_gradient"}
+
+
+def test_scan_sees_a_read():
+    tree = ast.parse("def f(z):\n    return z.atom0\nclass C:\n    def g(self):\n"
+                     "        self.atom0 = 1\natom0 = z.atom0\n")
+    assert list(_readers(tree, "atom0")) == ["f", "C", None]
 
 
 def test_only_the_table_calls_scipys_private_evaluation():

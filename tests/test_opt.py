@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from shadecraft import dist, opt, payoff
+from shadecraft import _quad, dist, opt, payoff
 from shadecraft.errors import InvalidParams
 
 
@@ -128,3 +128,40 @@ class TestMaximizeBSP:
         u, z = setup
         with pytest.raises(InvalidParams):
             opt.maximize_bsp(u, z, dist.GPParams(0.0, 0.5, -0.5), BOX, **budget)
+
+    def test_one_integral_per_evaluation(self, setup, monkeypatch):
+        # the payoff and its gradient are one 4-row integral, L-BFGS-B's jac=True
+        u, z = setup
+        integrals, evaluations = [], []
+        integrate, minimize = _quad.integrate, opt.minimize
+
+        def counted_integrate(*args, **kwargs):
+            integrals.append(1)
+            return integrate(*args, **kwargs)
+
+        def counted_minimize(*args, **kwargs):
+            res = minimize(*args, **kwargs)
+            evaluations.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(_quad, "integrate", counted_integrate)
+        monkeypatch.setattr(opt, "minimize", counted_minimize)
+        opt.maximize_bsp(u, z, dist.GPParams(0.0, 0.5, -0.5), BOX, restarts=2, max_iter=5,
+                         seed=1)
+        assert len(evaluations) == 3
+        assert len(integrals) == sum(evaluations) > 3
+
+    @pytest.mark.parametrize("bounds, name", [
+        (((0.5, 0.0), (0.05, 1.5), (-3.0, -1e-6)), "mu"),
+        (((0.0, 0.5), (np.nan, 1.5), (-3.0, -1e-6)), "sigma"),
+        (((0.0, 0.5), (0.05, 1.5), (-np.inf, -1e-6)), "xi"),
+        (((0.0, np.inf), (0.05, 1.5), (-3.0, -1e-6)), "mu"),
+        # empty only once xi <= -1e-6 and sigma >= 1e-9
+        (((0.0, 0.5), (0.05, 1.5), (-1e-7, 0.0)), "xi"),
+        (((0.0, 0.5), (0.0, 0.0), (-3.0, -1e-6)), "sigma"),
+    ])
+    @pytest.mark.parametrize("restarts", [0, 2])
+    def test_rejects_bad_bounds(self, setup, bounds, name, restarts):
+        u, z = setup
+        with pytest.raises(InvalidParams, match=f"^{name} bounds"):
+            opt.maximize_bsp(u, z, dist.GPParams(0.0, 0.5, -0.5), bounds, restarts=restarts)

@@ -811,6 +811,20 @@ class TestBSPInLogU:
             payoff.bsp_payoff_gradient(u, p, z)
             assert calls == [1, 1]
 
+    @settings(max_examples=100, deadline=None)
+    @given(bsp_params(), st.sampled_from(["uniform", "gp"]), st.booleans())
+    def test_payoff_and_gradient_match_their_own_functions(self, p, rivals, point_mass):
+        # one 4-row integral against a 1-row and a 3-row one: the stacked rows
+        # refine their panels together, so the bits may differ but not the values
+        u = dist.make_uniform()
+        models = uniforms(2) if rivals == "uniform" else [dist.make_gp(0.0, 0.5, -0.3)] * 2
+        z = payoff.competition_distribution(models)
+        value, grad = payoff.bsp_payoff_and_gradient(u, p, z, include_point_mass=point_mass)
+        assert isinstance(value, float) and grad.shape == (3,)
+        want = np.concatenate([[payoff.bsp_payoff(u, p, z)],
+                               payoff.bsp_payoff_gradient(u, p, z, include_point_mass=point_mass)])
+        np.testing.assert_allclose(np.concatenate([[value], grad]), want, rtol=1e-12, atol=0)
+
     def test_worst_gradient_matches_central_differences(self):
         u = dist.make_uniform()
         z = payoff.competition_distribution(uniforms(2))

@@ -1,21 +1,25 @@
 """Paired A/B timing of one benchmark workload between two checkouts.
 
-    python tools/ab.py <parent> <change> --workload W [--pairs 10] [--passes 5]
+    python tools/ab.py <parent> <change> --workload W [--pairs 10] [--passes N]
 
 Each pair starts both checkouts at once as live processes, one per checkout.
 A process imports the library and the workload from its own checkout (src/
 and perfbench/workloads.py), runs the set-up at seed 1 + pair index and one
 untimed pass, and then waits. The two processes then take turns, --passes
 rounds of them: in a round, single timed set-ups alternate between them, and
-then single timed passes, and only one runs at a time. A set-up's result is
-dropped at once, as perfbench's set-up batches drop theirs, so each set-up
-allocates its tables afresh next to the live state of the pass, and the minor
-page faults it takes (from getrusage) are counted. The side that goes first
-alternates from one round to the next, and between pairs (the parent opens
-pairs 1, 3, 5, ...). Host drift during a pair thus falls on both sides alike,
-a call apart, rather than on whichever process happened to run later. A
-side's pass reading is the mean wall and CPU time of its passes, with no
-scaling to a nominal host speed. Both sides of a pair use the same seed.
+then single timed passes, and only one runs at a time. Without --passes the
+count is sized once, from the first pair's two untimed passes, so that each
+side times about SPAN_S seconds of passes per pair (`passes_for`); every
+pair uses that count, and the report prints it and gives it as "passes". A
+set-up's result is dropped at once, as perfbench's set-up batches drop
+theirs, so each set-up allocates its tables afresh next to the live state of
+the pass, and the minor page faults it takes (from getrusage) are counted.
+The side that goes first alternates from one round to the next, and between
+pairs (the parent opens pairs 1, 3, 5, ...). Host drift during a pair thus
+falls on both sides alike, a call apart, rather than on whichever process
+happened to run later. A side's pass reading is the mean wall and CPU time
+of its passes, with no scaling to a nominal host speed. Both sides of a pair
+use the same seed.
 
 The report gives each side's median wall and CPU time, the paired ratio
 change/parent of wall time (median and quartiles), the number of pairs the
@@ -47,6 +51,8 @@ import numpy as np
 import scipy
 
 TOOLS = Path(__file__).resolve().parent
+# seconds of timed passes per side per pair when --passes is not given
+SPAN_S = 1.0
 # the directories of numpy's and scipy's Python modules
 LIBRARY_DIRS = tuple(str(Path(m.__file__).resolve().parent) + os.sep for m in (np, scipy))
 
@@ -71,13 +77,20 @@ def library_calls(fn):
     return n
 
 
+def passes_for(pass_s):
+    """The pass count that times about SPAN_S per side, from each side's
+    untimed pass time in pass_s: SPAN_S over their mean, rounded, at least 1."""
+    return max(1, round(SPAN_S / statistics.fmean(pass_s)))
+
+
 def serve(root, workload_name, seed):
-    """One side in this process. After the set-up and an untimed pass it
-    answers each "pass" line on standard input with one timed pass,
-    {"wall_s", "cpu_s"}, each "setup" line with one timed set-up whose result
-    is dropped, {"setup_s", "faults"}, and "end" with {"failed", "fingerprint",
-    "library_calls"}, the last from one more pass, profiled and not timed, whose
-    failed operations are not counted."""
+    """One side in this process. After the set-up and an untimed pass, which
+    it reports as {"ready", "pass_s"}, it answers each "pass" line on standard
+    input with one timed pass, {"wall_s", "cpu_s"}, each "setup" line with
+    one timed set-up whose result is dropped, {"setup_s", "faults"}, and
+    "end" with {"failed", "fingerprint", "library_calls"}, the last from one
+    more pass, profiled and not timed, whose failed operations are not
+    counted."""
     root = Path(root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench"), str(TOOLS)]
     import shadecraft
@@ -105,8 +118,9 @@ def serve(root, workload_name, seed):
                 failed += 1
         return failed
 
-    one_pass()  # lazy tables and first-use costs are not timed
-    say({"ready": True})
+    w0 = time.perf_counter()
+    one_pass()  # lazy tables and first-use costs are not in a timed pass
+    say({"ready": True, "pass_s": time.perf_counter() - w0})
     for line in sys.stdin:
         if line.strip() == "pass":
             w0, c0 = time.perf_counter(), time.process_time()
@@ -155,14 +169,14 @@ class Side:
 
 
 def run_pair(roots, workload, seed, passes, first):
-    """{name: {"wall_s", "cpu_s", "setups", "failed", "fingerprint",
-    "library_calls"}} for one
-    pair, "setups" being each set-up's {"setup_s", "faults"}; the side at
-    index `first` of `roots` opens the first round."""
+    """(passes, {name: {"wall_s", "cpu_s", "setups", "failed", "fingerprint",
+    "library_calls"}}) for one pair, "setups" being each set-up's {"setup_s",
+    "faults"}; the side at index `first` of `roots` opens the first round.
+    passes None is sized by passes_for from the two untimed passes."""
     sides = {name: Side(root, workload, seed) for name, root in roots.items()}
     try:
-        for s in sides.values():
-            s.read()  # set up and warmed
+        warm = [s.read()["pass_s"] for s in sides.values()]  # set up and warmed
+        passes = passes or passes_for(warm)
         names = list(sides)
         times = {name: [] for name in names}
         setups = {name: [] for name in names}
@@ -177,7 +191,7 @@ def run_pair(roots, workload, seed, passes, first):
             out[name] = {"wall_s": statistics.fmean(t["wall_s"] for t in times[name]),
                          "cpu_s": statistics.fmean(t["cpu_s"] for t in times[name]),
                          "setups": setups[name], **s.ask("end")}
-        return out
+        return passes, out
     finally:
         for s in sides.values():
             s.close()
@@ -201,11 +215,12 @@ def main(argv=None):
     ap.add_argument("change", nargs="?")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--passes", type=int, default=5)
+    ap.add_argument("--passes", type=int, help="timed passes per side per pair "
+                    f"(default: about {SPAN_S:g} s of them, sized on the first pair)")
     ap.add_argument("--side", help=argparse.SUPPRESS)
     ap.add_argument("--seed", type=int, default=1, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
-    if args.passes < 1 or args.pairs < 1:
+    if args.pairs < 1 or (args.passes is not None and args.passes < 1):
         ap.error("--pairs and --passes must be >= 1")
     if args.side:
         serve(args.side, args.workload, args.seed)
@@ -215,15 +230,19 @@ def main(argv=None):
 
     runs = {"parent": [], "change": []}
     roots = {"parent": args.parent, "change": args.change}
+    passes = args.passes
     for i in range(args.pairs):
-        pair = run_pair(roots, args.workload, 1 + i, args.passes, first=i % 2)
+        passes, pair = run_pair(roots, args.workload, 1 + i, passes, first=i % 2)
+        if i == 0:
+            how = "--passes" if args.passes else f"sized to ~{SPAN_S:g} s on pair 1"
+            print(f"passes per side per pair: {passes} ({how})", flush=True)
         for name in runs:
             runs[name].append(pair[name])
         p, c = pair["parent"], pair["change"]
         print(f"pair {i + 1}: parent {p['wall_s']:.4f} s, change {c['wall_s']:.4f} s, "
               f"ratio {c['wall_s'] / p['wall_s']:.3f}", flush=True)
 
-    report = {"workload": args.workload, "pairs": args.pairs, "passes": args.passes}
+    report = {"workload": args.workload, "pairs": args.pairs, "passes": passes}
     for name, rs in runs.items():
         setups = [u for r in rs for u in r["setups"]]
         report[name] = {
