@@ -44,8 +44,9 @@ def _panels(f, lo, hi, nodes, weights, cuts=()):
     when f returns m rows.
 
     f is called once per block of _BLOCK panels, and the blocks fill one array
-    of values. Each group is weighted on its own, because BLAS can round a
-    panel's weighted sum differently at another position in a larger array."""
+    of values. Each group is weighted on its own: OpenBLAS's matrix-vector
+    product rounds its last (rows mod 4) rows in another kernel, and a one-row
+    product takes numpy's dot, so a panel's bits depend on its group (x86-64)."""
     mids = 0.5 * (hi + lo)
     halfs = 0.5 * (hi - lo)
     if lo.size <= _BLOCK:
@@ -95,6 +96,8 @@ def integrate(f, a, b, breakpoints=(), max_panels=100000):
                     else f"reached depth {_MAX_DEPTH} unresolved"
                 warnings.warn(f"integral over [{a}, {b}] {why}", IntegrationWarning, stacklevel=2)
             done[:] = True
+        # both[..., done] is F-ordered: each row of a multi-row total sums its
+        # panels left to right, a one-row total pairwise (tests/test_quad.py)
         total = total + both[..., done].sum(axis=-1)
         if done.all():
             break

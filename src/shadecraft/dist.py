@@ -139,12 +139,12 @@ class _Table:
     Large batches (see `_NUMPY_MIN_POINTS` and `_NUMPY_MIN_PAIR_POINTS`)
     locate each point's interval once, for value and slope together. On
     knots that are equispaced to within one interval the index is an affine
-    guess, formed in one array, and checked by two gathers: of the knot on
-    its left, which also gives the offset s, and of the knot on its right.
-    Only where some point's guess is one interval off is the index
-    corrected, clipped and the left knot gathered again. Otherwise the index
-    is a binary search on the interior knots. Each polynomial then takes one
-    gather per coefficient, and value and slope share the powers of s.
+    guess, checked by two gathers: of the knot on its left, which also gives
+    the offset s, and of the knot on its right. The points it misses, by any
+    number of intervals, take a binary search on the interior knots and a
+    gather of their left knots; on other knots every point does. Each
+    polynomial then takes one gather per coefficient, and value and slope
+    share the powers of s.
     """
 
     def __init__(self, x, y, slopes=None):
@@ -157,9 +157,10 @@ class _Table:
     @functools.cached_property
     def _scale(self):
         # _step where the guess, monotone in q, is within one interval at
-        # every knot, and so at every point; else None. Computed on the first
-        # numpy-sized read, from the knots alone, so that worker threads that
-        # make that read together all get the finished value
+        # every knot, and so misses few points; else None, and nothing is
+        # guessed, as on the GP bid laws' tables, where it misses nearly all.
+        # Computed on the first numpy-sized read, from the knots alone, so that
+        # worker threads that make that read together all get the finished value
         miss = self._guess(self.x) - np.arange(self.x.size)
         return None if np.any((miss < -1) | (miss > 0)) else self._step
 
@@ -180,21 +181,16 @@ class _Table:
         """(i, q - x[i]) for 1-d q, i = np.searchsorted(x[1:-1], q, side="right")."""
         x = self.x
         if self._scale is None:
-            i = np.searchsorted(x[1:-1], q, side="right")
+            i = x[1:-1].searchsorted(q, side="right")
             return i, q - x[i]
         i = self._guess(q)
         left = x[i]
-        up = q >= x[1:][i]
-        down = q < left
-        if up.any() or down.any():  # the guess is one interval off somewhere
-            i = _clip(i + up - down, 0, x.size - 2)
-            left = x[i]
+        hit = (q >= left) & (q < x[1:][i])  # false at NaN, whatever its guess
+        if not hit.all():
+            miss = (~hit).nonzero()[0]
+            i[miss] = x[1:-1].searchsorted(q[miss], side="right")
+            left[miss] = x[i[miss]]
         return i, np.subtract(q, left, out=left)
-
-    def interval(self, q):
-        """np.searchsorted(x[1:-1], q, side="right"): the polynomial piece at q."""
-        q = np.asarray(q, dtype=float)
-        return self._locate(q.ravel())[0].reshape(q.shape)
 
     def _eval(self, q, *pps):
         """Each PPoly of pps at q, bit for bit as PPoly.__call__ gives it."""

@@ -386,3 +386,71 @@ def test_levels_over_a_block_give_the_same_bytes(rows):
     assert len(calls) > len(ref_calls)
     points = np.sort(np.concatenate(calls))
     assert points.tobytes() == np.sort(np.concatenate(ref_calls)).tobytes()
+
+
+def _smooth_case(rng, rows):
+    """(f, a, b, breakpoints): random cubics over 8 to 170 segments, so that
+    the first level is one integrand call, and each segment resolves there;
+    rows=None gives a 1-d result."""
+    a = rng.uniform(-5.0, 5.0)
+    b = a + rng.uniform(1e-2, 10.0)
+    k = int(rng.integers(8, 171))
+    breaks = tuple(np.sort(a + (b - a) * rng.uniform(size=k - 1)).tolist())
+    coefs = rng.uniform(-10.0, 10.0, (rows or 1, 4))
+    f = lambda x: np.stack([((c3 * x + c2) * x + c1) * x + c0 for c0, c1, c2, c3 in coefs])
+    return (lambda x: f(x)[0]) if rows is None else f, a, b, breaks
+
+
+def _accepted_panels(f, a, b, breaks):
+    """The first level's sums of both halves of each segment, in segment
+    order: what `integrate` adds up when they are all accepted."""
+    pts = np.array([a, *sorted(set(breaks)), b])
+    n = pts.size - 1
+    assert n >= 8
+    left, right = pts[:-1], pts[1:]
+    mid = 0.5 * (left + right)
+    _, halves = _quad._panels(f, np.concatenate([left, left, mid]),
+                              np.concatenate([right, mid, right]), _N15, _W15, (n,))
+    return halves[..., :n] + halves[..., n:]
+
+
+def _left_to_right(row):
+    total = row[0]
+    for v in row[1:]:
+        total += v
+    return total
+
+
+def _one_level_total(f, a, b, breaks):
+    got, calls, warned = _traced(_quad.integrate, f, a, b, breakpoints=breaks)
+    assert len(calls) == 1 and warned == []
+    return np.asarray(got)
+
+
+def test_each_row_of_a_multi_row_total_sums_left_to_right():
+    # both[..., done] is an F-ordered copy, so its sum over the last axis adds
+    # each row's accepted panels one by one, left to right; a C-ordered copy
+    # would take numpy's pairwise sum of each row, and other bits
+    rng = np.random.default_rng(2024)
+    pairwise = 0
+    for _ in range(300):
+        f, a, b, breaks = _smooth_case(rng, int(rng.integers(2, 6)))
+        both = _accepted_panels(f, a, b, breaks)
+        got = _one_level_total(f, a, b, breaks)
+        want = np.array([0.0 + _left_to_right(row.tolist()) for row in both])
+        assert got.tobytes() == want.tobytes()
+        pairwise += (0.0 + np.ascontiguousarray(both).sum(axis=-1)).tobytes() == got.tobytes()
+    assert pairwise < 150  # the two orders differ, so the test tells them apart
+
+
+@pytest.mark.parametrize("rows", [None, 1], ids=["1-d", "1-row"])
+def test_a_one_row_total_is_numpys_pairwise_sum(rows):
+    rng = np.random.default_rng(2025)
+    sequential = 0
+    for _ in range(300):
+        f, a, b, breaks = _smooth_case(rng, rows)
+        both = _accepted_panels(f, a, b, breaks).reshape(-1)
+        got = _one_level_total(f, a, b, breaks)
+        assert got.tobytes() == (0.0 + np.add.reduce(both)).reshape(got.shape).tobytes()
+        sequential += (0.0 + _left_to_right(both.tolist())) == got.reshape(())
+    assert sequential < 150

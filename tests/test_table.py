@@ -121,8 +121,8 @@ def test_numpy_path_is_bit_equal_to_scipy(data):
 @given(st.data())
 def test_interval_is_scipys_extrapolating_search(data):
     x, y, _ = data.draw(tables())
-    q = data.draw(queries(x))
-    np.testing.assert_array_equal(dist._Table(x, y).interval(q),
+    q = np.ravel(data.draw(queries(x)))
+    np.testing.assert_array_equal(dist._Table(x, y)._locate(q)[0],
                                   np.searchsorted(x[1:-1], q, side="right"))
 
 
@@ -217,10 +217,10 @@ def test_one_ulp_either_side_of_every_knot(x):
     q = ulp_neighbours(x)
     q = np.concatenate([q, np.random.default_rng(0).permutation(q)])
     # the affine guess misses some of these points' intervals, so the
-    # one-step correction moves them
+    # binary search places them
     assert table._scale is not None
     assert np.any(table._guess(q) != np.searchsorted(x[1:-1], q, side="right"))
-    np.testing.assert_array_equal(table.interval(q), np.searchsorted(x[1:-1], q, side="right"))
+    np.testing.assert_array_equal(table._locate(q)[0], np.searchsorted(x[1:-1], q, side="right"))
     value = PchipInterpolator(x, y, extrapolate=True)
     with crossover(0):
         assert_same_bits(table(q), value(q))
@@ -228,6 +228,30 @@ def test_one_ulp_either_side_of_every_knot(x):
         both = table.value_and_slope(q)
     assert_same_bits(both[0], value(q))
     assert_same_bits(both[1], value.derivative()(q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_locate_is_exact_for_any_guess(data):
+    # the affine guess offset by whole intervals, any number of them, and
+    # clipped into range: every point still gets searchsorted's interval and
+    # the offset from its left knot, to the byte, at the knots, one ulp either
+    # side of them, beyond both ends, NaN and +-inf
+    x, y, _ = data.draw(tables())
+    x = np.linspace(x[0], x[-1], x.size)
+    table = dist._Table(x, y)
+    assert table._scale is not None
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    q = np.concatenate([np.ravel(data.draw(queries(x))),
+                        ulp_neighbours(x[rng.integers(0, x.size, 50)])])
+    spread = data.draw(st.sampled_from([1, 2, 5, x.size]))
+    offset = rng.integers(-spread, spread + 1, q.size)
+    guess = table._guess
+    table._guess = lambda q: np.clip(guess(q) + offset, 0, x.size - 2)
+    i, s = table._locate(q)
+    want = np.searchsorted(x[1:-1], q, side="right")
+    np.testing.assert_array_equal(i, want)
+    assert_same_bits(s, q - x[want])
 
 
 @pytest.mark.parametrize("limit", [0, np.inf], ids=["numpy", "compiled"])
@@ -259,8 +283,8 @@ def test_first_numpy_reads_from_many_threads_agree():
         for x in [np.geomspace(1.0, 1e3, 300), np.linspace(1.0, 1e3, 300)] * 15:
             table = dist._Table(x, np.arange(x.size, dtype=float))
             with ThreadPoolExecutor(8) as pool:
-                got = list(pool.map(table.interval, [q] * 8))
-            for i in got:
+                got = list(pool.map(table._locate, [q] * 8))
+            for i, _ in got:
                 np.testing.assert_array_equal(i, np.searchsorted(x[1:-1], q, side="right"))
     finally:
         sys.setswitchinterval(interval)
