@@ -254,6 +254,22 @@ def test_locate_is_exact_for_any_guess(data):
     assert_same_bits(s, q - x[want])
 
 
+@pytest.mark.parametrize("lo, hi, n", [(0.0, 1.0, 2048), (0.0, 2.0, 2048), (0.3, 7.1, 2049),
+                                       (-1.0, 1e3, 513)])
+def test_a_table_guesses_its_own_knots(lo, hi, n):
+    # tables are read at their own knots (gamma_from_target, push_forward):
+    # on equispaced knots each knot, and each finite point at or past the last,
+    # hits its guessed interval, however (q - x[0]) * _step rounds, so such
+    # a read takes no miss
+    x = np.linspace(lo, hi, n)
+    table = dist._Table(x, x)
+    assert table._scale is not None
+    q = np.concatenate([x, [np.nextafter(hi, np.inf), 2 * hi + 1.0]])
+    i = table._guess(q)
+    np.testing.assert_array_equal(i, np.searchsorted(x[1:-1], q, side="right"))
+    assert np.all((q >= x[i]) & (q < table._right[i]))
+
+
 @pytest.mark.parametrize("limit", [0, np.inf], ids=["numpy", "compiled"])
 @pytest.mark.parametrize("shape", [(), (0,), (0, 3), (2, 3), (3, 700)])
 def test_grid_function_keeps_the_shape_and_the_last_knot(shape, limit):
@@ -274,8 +290,10 @@ def test_grid_function_keeps_the_shape_and_the_last_knot(shape, limit):
 def test_first_numpy_reads_from_many_threads_agree():
     # a table checks its knots on its first numpy-sized read, and Monte Carlo
     # workers are threads that may make that read together: every thread
-    # must see the finished check. Fresh tables, 8 threads on 2 cores, and a
-    # 1 us switch interval; the knots are equispaced or not
+    # must see the finished check. _locate is exact for any guess, so each
+    # thread also returns the check it read, which must be None on knots
+    # that are not equispaced and _step on knots that are. Fresh tables, 8
+    # threads on 2 cores, and a 1 us switch interval
     q = np.linspace(1.0, 1e3, 2048)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -283,8 +301,10 @@ def test_first_numpy_reads_from_many_threads_agree():
         for x in [np.geomspace(1.0, 1e3, 300), np.linspace(1.0, 1e3, 300)] * 15:
             table = dist._Table(x, np.arange(x.size, dtype=float))
             with ThreadPoolExecutor(8) as pool:
-                got = list(pool.map(table._locate, [q] * 8))
-            for i, _ in got:
+                got = list(pool.map(lambda q: (table._locate(q)[0], table._scale), [q] * 8))
+            want = None if x[1] - x[0] < x[-1] - x[-2] else table._step
+            for i, scale in got:
                 np.testing.assert_array_equal(i, np.searchsorted(x[1:-1], q, side="right"))
+                assert scale is want
     finally:
         sys.setswitchinterval(interval)
