@@ -9,9 +9,9 @@ is weighted, so the bits do not depend on where the blocks end.
 `integrate` refines level by level. Its first level evaluates one 15-point
 panel per breakpoint segment and both halves of each segment; each later
 level evaluates both halves of every unresolved panel. A level of up to 512
-panels is one integrand call. A panel is resolved when its halves agree
-with it (in every row); refinement stops at depth 48 or when the panel
-budget runs out, and either warns if a panel is still unresolved.
+panels is one integrand call. A panel is resolved when its halves agree with it
+(every row) to its share of max(_ABS_TOL, _REL_TOL * the integral's rough size);
+refinement stops at depth 48 or out of panel budget, warning if one is open.
 """
 
 import warnings

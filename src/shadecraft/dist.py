@@ -145,7 +145,8 @@ class _Table:
     the interior knots if it still misses, so any guess gives the exact
     interval; on other knots every point is searched. Each polynomial then
     takes one gather per coefficient, and value and slope share the powers
-    of s.
+    of s. `invert` solves the table for q by Newton steps from a table of its
+    inverse, which also brackets each root by two of this table's knots.
     """
 
     def __init__(self, x, y, slopes=None):
@@ -153,6 +154,7 @@ class _Table:
         if slopes is not None:
             self._dpp = _signless_zeros(_pchip(x, slopes))
         self.x = self._pp.x
+        self.y = np.asarray(y, dtype=float)
         self._step = (self.x.size - 1) / (self.x[-1] - self.x[0])  # knots per unit of q
         # 1e-9 of an interval below x[0], so that however (q - x[0]) * _step
         # rounds, a knot guesses its own interval; tables are read at their knots
@@ -210,8 +212,9 @@ class _Table:
             i[miss], left[miss] = j, x[j]
         return i, np.subtract(q, left, out=left)
 
-    def _eval(self, q, *pps):
-        """Each PPoly of pps at q, bit for bit as PPoly.__call__ gives it."""
+    def _eval(self, q, *pps, located=False):
+        """Each PPoly of pps at q, bit for bit as PPoly.__call__ gives it; if
+        located, then each point's interval, as searchsorted places flat q."""
         q = np.asarray(q, dtype=float)
         flat = q.ravel()
         if flat.size < (_NUMPY_MIN_POINTS if len(pps) == 1 else _NUMPY_MIN_PAIR_POINTS):
@@ -221,11 +224,13 @@ class _Table:
                 out = np.empty((flat.size, 1))
                 pp._evaluate(flat, 0, True, out)
                 outs.append(out.reshape(q.shape))
-            return outs
-        i, s = self._locate(flat)
-        # scipy's compiled loop is silent where inf - inf makes a NaN
-        with np.errstate(invalid="ignore", over="ignore"):
-            return [out.reshape(q.shape) for out in _power_sums([pp.c for pp in pps], i, s)]
+            i = self.x[1:-1].searchsorted(flat, side="right") if located else None
+        else:
+            i, s = self._locate(flat)
+            # scipy's compiled loop is silent where inf - inf makes a NaN
+            with np.errstate(invalid="ignore", over="ignore"):
+                outs = [out.reshape(q.shape) for out in _power_sums([pp.c for pp in pps], i, s)]
+        return outs + [i] if located else outs
 
     def __call__(self, q):
         return self._eval(q, self._pp)[0]
@@ -236,35 +241,40 @@ class _Table:
     def value_and_slope(self, q):
         return self._eval(q, self._pp, self._dpp)
 
-    def _newton(self, y, x, lo, hi, cap):
-        x = _clip(x, lo, hi)
+    def _newton(self, y, x, ends, i):
         value, slope = self.value_and_slope(x)
         # np.clip(slope, 1e-12, None) is this maximum, behind ~3 us of Python
         step = (value - y) / np.maximum(slope, 1e-12)
-        if cap is not None:
-            step = np.where(np.abs(step) > cap, 0.0, step)
-        return x - step, step
+        new = x - step
+        out = ((new < ends[i]) | (new > ends[i + 1])).nonzero()[0]
+        if out.size:  # halfway to ends[i] where step > 0, else to ends[i + 1]
+            new[out] = 0.5 * (x[out] + ends[i[out] + (step[out] <= 0)])
+        return new
 
-    def invert(self, y, x, lo, hi, cap=None):
-        """The q in [lo, hi] where the table is y, refined from the guess x
-        (broadcast to y's shape) by 3 Newton steps, the slope floored at 1e-12;
-        a step longer than cap is skipped. A point whose step is exactly 0 is a
-        fixed point that every later step would repeat, so after the first step
-        only the points that moved go on, and the steps end when none moves."""
+    def invert(self, y, inverse):
+        """The q where the table is y, y clipped into the knots of `inverse`, a
+        table of this one's inverse: 3 Newton steps, the slope floored at 1e-12,
+        in the bracket that inverse's values give at the ends of y's interval,
+        from the guess inverse(y) clipped into it (it rounds an ulp out at an
+        interval's end). A step out of the bracket goes instead halfway to its
+        end on the root's side: below x where the table is above y.
+        A point that a step leaves where it was is a fixed point that every
+        later step would repeat, so after the first step only the points that
+        moved go on, and the steps end when none moves."""
         y = np.asarray(y, dtype=float)
-        x, step = self._newton(y, x, lo, hi, cap)
-        live = step.ravel().nonzero()[0]  # np.flatnonzero, without its call overhead
+        t = _clip(y.ravel(), inverse.x[0], inverse.x[-1])
+        guess, i = inverse._eval(t, inverse._pp, located=True)
+        guess = _clip(guess, inverse.y[i], inverse.y[i + 1])
+        x = self._newton(t, guess, inverse.y, i)
+        live = (x != guess).nonzero()[0]
         if live.size:
-            x = np.asarray(x, order="C")
-            flat = x.reshape(-1)  # a view, in step's flat order
-            q = flat[live]
-            t = (y if y.shape == x.shape else np.broadcast_to(y, x.shape)).ravel()[live]
+            q, t, i = x[live], t[live], i[live]
             for _ in range(2):
-                q, step = self._newton(t, q, lo, hi, cap)
-                if not np.count_nonzero(step):
+                q, last = self._newton(t, q, inverse.y, i), q
+                if not np.count_nonzero(q != last):
                     break
-            flat[live] = q
-        return _clip(x, lo, hi)
+            x[live] = q
+        return x.reshape(y.shape)[()]
 
 
 @dataclass(frozen=True)
@@ -623,7 +633,6 @@ class GridDistribution(DistributionModel):
                 fpdf = np.append(fpdf, np.clip(self._F.slope(x_c), 0.0, None))
         psi = xs - (1.0 - fcdf) / np.clip(fpdf, 1e-300, None)
         self.psi_domain = (float(xs[0]), float(xs[-1]))
-        self._psi_values = psi
         # regularity is only decidable up to the grid's own resolution
         scale = max(abs(psi[0]), abs(psi[-1]), 1e-6)
         self.is_regular = bool(np.all(np.diff(psi) > -1e-9 * scale))
@@ -657,8 +666,7 @@ class GridDistribution(DistributionModel):
         q = np.asarray(q, dtype=float)
         if (q < 0).any() or (q > 1).any():
             raise InvalidParams("quantile argument must lie in [0, 1]")
-        qc = _clip(q, self.cdf_values[0], self.cdf_values[-1])
-        return self._F.invert(qc, self._Q(qc), self.knots[0], self.knots[-1])
+        return self._F.invert(q, self._Q)
 
     def mean(self):
         return float(np.sum(_quad.panel_integrals(lambda t: t * self.pdf(t), self.knots)))
@@ -669,10 +677,7 @@ class GridDistribution(DistributionModel):
     def _inverse_virtual_clamped(self, t):
         if not self.is_regular:
             raise NonRegular("virtual value is not increasing on the grid")
-        t = _clip(np.asarray(t, dtype=float), self._psi_values[0], self._psi_values[-1])
-        lo, hi = self.psi_domain
-        # damped: a step is skipped in near-flat regions of psi
-        return self._psi.invert(t, self._psi_inv(t), lo, hi, cap=0.05 * (hi - lo))
+        return self._psi.invert(t, self._psi_inv)
 
     def virtual_value_slope(self, x):
         """The psi table's slope, floored at 1e-12 where the table flattens."""

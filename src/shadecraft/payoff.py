@@ -507,8 +507,8 @@ def bsp_payoff_and_gradient(d1, p: GPParams, z: CompetitionDistribution,
                             include_point_mass=True):
     """(bsp_payoff, bsp_payoff_gradient) from one integral: the payoff row on
     top of the three gradient rows, all four from one read of the competition's
-    law. Each agrees with its own function to ~1 ulp, not bit for bit, since
-    the stacked rows refine their panels together."""
+    law. The stacked rows refine their panels together, so each agrees with
+    its own function to within the quadrature's tolerance, not bit for bit."""
     out = _bsp_rows(d1, p, z, include_point_mass, value=True)
     return float(out[0]), out[1:]
 

@@ -7,7 +7,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.optimize import brentq
@@ -98,7 +98,7 @@ def _reference_virtual_law(m, t):
         c = 1.0 - m.params.xi
         x = t / c + m.monopoly_price()
         return m.cdf(np.clip(x, *m.support)), m.pdf(x) / c
-    lo, hi = m._psi_values[0], m._psi_values[-1]
+    lo, hi = m._psi_inv.x[0], m._psi_inv.x[-1]
     below, above = t < lo, t > hi
     mid = ~(below | above)
     cdf = np.empty_like(t)
@@ -813,9 +813,11 @@ class TestBSPInLogU:
 
     @settings(max_examples=100, deadline=None)
     @given(bsp_params(), st.sampled_from(["uniform", "gp"]), st.booleans())
+    @example(dist.GPParams(0.46875, 0.46875, -0.1), "gp", False)  # payoffs 7.9e-12 apart
     def test_payoff_and_gradient_match_their_own_functions(self, p, rivals, point_mass):
         # one 4-row integral against a 1-row and a 3-row one: the stacked rows
-        # refine their panels together, so the bits may differ but not the values
+        # refine their panels together, so a row and its own function are each
+        # within the quadrature's tolerance of the integral, not bit for bit
         u = dist.make_uniform()
         models = uniforms(2) if rivals == "uniform" else [dist.make_gp(0.0, 0.5, -0.3)] * 2
         z = payoff.competition_distribution(models)
@@ -823,7 +825,19 @@ class TestBSPInLogU:
         assert isinstance(value, float) and grad.shape == (3,)
         want = np.concatenate([[payoff.bsp_payoff(u, p, z)],
                                payoff.bsp_payoff_gradient(u, p, z, include_point_mass=point_mass)])
-        np.testing.assert_allclose(np.concatenate([[value], grad]), want, rtol=1e-12, atol=0)
+        tol = np.maximum(_quad._ABS_TOL, _quad._REL_TOL * np.abs(want))
+        assert np.all(np.abs(np.concatenate([[value], grad]) - want) <= 2 * tol)
+
+    def test_stacked_and_lone_payoffs_are_both_within_tolerance_of_quad(self):
+        # the pinned draw above: bsp_payoff is 8.0e-12 relative off scipy quad,
+        # the stacked payoff row 3.2e-14
+        u = dist.make_uniform()
+        p = dist.GPParams(0.46875, 0.46875, -0.1)
+        z = payoff.competition_distribution([dist.make_gp(0.0, 0.5, -0.3)] * 2)
+        ref = _bsp_oracle(u, p, z)[0]
+        for value in (payoff.bsp_payoff_and_gradient(u, p, z, include_point_mass=False)[0],
+                      payoff.bsp_payoff(u, p, z)):
+            assert abs(value - ref) <= max(_quad._ABS_TOL, _quad._REL_TOL * abs(ref))
 
     def test_worst_gradient_matches_central_differences(self):
         u = dist.make_uniform()

@@ -202,7 +202,7 @@ def uniform_bid_law_psi():
     law = shade.equilibrium_shading(dist.make_uniform(), 3).bid_distribution()
     x = law._psi.x
     assert x[-1] not in law.knots and law.cdf(x[-1]) == pytest.approx(1 - 1e-9, abs=1e-15)
-    return x, law._psi_values, law._psi
+    return x, law._psi.y, law._psi
 
 
 @pytest.mark.parametrize("x", [np.linspace(0.0, 1.0, 2048), np.linspace(-3.0, 7.0, 5),
