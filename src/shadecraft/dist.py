@@ -23,24 +23,8 @@ from .errors import ConfigError, InvalidParams, NonMonotone, NonRegular, OutOfSu
 GRID_N = 2048            # default knot count for grid-backed models
 TAIL_CDF_CUTOFF = 1e-9   # virtual values on grids are only evaluated for F <= 1 - cutoff
 INF_TRUNC_Q = 1.0 - 1e-10  # quantile at which unbounded supports are truncated for grids
-# Batches smaller than these go to the compiled loop of scipy's PPoly, which
-# gives the same bits and wins on small batches, such as the ~15 points of
-# a quadrature panel. Its per-point binary search is fast on sorted points
-# and slow on shuffled ones, and a value-and-slope read runs it twice, where
-# numpy locates the points once. Compiled loop / numpy in us per read on the
-# 2,048-knot uniform bid and psi tables, fresh batches, two runs (2-core
-# x86-64 host):
-#                       sorted           shuffled
-#   value, 512:         29-39 / 28-49    56-63 / 30-32
-#   value, 1,024:       46-64 / 33-38    113-124 / 37-58
-#   value+slope, 128:   23-31 / 26-49    33-41 / 26-40
-#   value+slope, 256:   35-47 / 29-55    58-64 / 30-36
-#   value+slope, 512:   57-76 / 34-67    116-131 / 35-40
-# The library's value reads under 1,024 points are quadrature nodes and
-# probes, sorted or nearly so; its value-and-slope reads are Newton steps,
-# under 256 points in quadrature and ~22k in Monte Carlo.
+# smaller batches take PPoly's compiled loop, same bits (timed in BENCH_23.json, BENCH_25.json)
 _NUMPY_MIN_POINTS = 1024
-_NUMPY_MIN_PAIR_POINTS = 256
 # the ufunc np.clip ends in, after ~2 us of Python; private to numpy, and held
 # to np.clip's bits by tests/test_table.py
 _clip = np._core.umath.clip
@@ -136,7 +120,7 @@ class _Table:
 
     Small batches call the compiled loop that PPoly.__call__ ends in, on
     `_pchip`'s C-contiguous coefficients and knots, as that loop requires.
-    Large batches (see `_NUMPY_MIN_POINTS` and `_NUMPY_MIN_PAIR_POINTS`)
+    Large batches (see `_NUMPY_MIN_POINTS`)
     locate each point's interval once, for value and slope together. On
     knots that are equispaced to within one interval the index is an affine
     guess, checked by two gathers: of the knot on its left, which also gives
@@ -217,7 +201,7 @@ class _Table:
         located, then each point's interval, as searchsorted places flat q."""
         q = np.asarray(q, dtype=float)
         flat = q.ravel()
-        if flat.size < (_NUMPY_MIN_POINTS if len(pps) == 1 else _NUMPY_MIN_PAIR_POINTS):
+        if flat.size < _NUMPY_MIN_POINTS:
             # without PPoly.__call__'s ~2 us of checks, copies and reshapes
             outs = []
             for pp in pps:

@@ -1,20 +1,20 @@
 """Expected payoff and revenue engines, plus all derivative machinery.
 
-The strategic bidder's expected payoff in a Myerson auction is
-E[(X - psi_B(B)) F_Z(psi_B(B))], where F_Z is the distribution of the
-competition Z = max(0, competitors' virtualized bids). F_Z carries a point
-mass at 0 (the probability that every competitor misses her reserve); the
-quadrature, the functional directional derivative and the boosted-second-
-price parameter gradient all account for it explicitly.
+By Myerson's lemma, a bidder with virtualized bid h = psi_B(B) earns
+E[(X - h) W(s) 1{h >= 0}] under a threshold mechanism, where W, what she must
+beat (`CompetitionDistribution`, from one builder for every kind), is met by
+s = h under Myerson and by her bid s = B under VCG with monopoly reserves.
+Under Myerson W = F_Z, Z = max(0, competitors' virtualized bids), with a point
+mass at 0 (every competitor misses her reserve) that the quadrature, the
+functional directional derivative and the BSP gradient account for.
 
 The payoff and its functional derivative integrate over the clearing region
 {h >= 0} of the virtualized bid h, from the point `_clearing_point` finds, in
-`_clearing_integral`. `_surplus` gives the Myerson surplus (x - h) F_Z(h) and
-its first-order term D [(x - h) f_Z(h) - F_Z(h)]; `_law_of_max`, the law of
-the highest competitor. Virtualized bids come from `shade.virtualize`.
-Linear shading (bid alpha x) has its own integrand, `_linear_integral`: one
-row per alpha, for payoffs or their exact alpha-derivatives, under Myerson or
-VCG reserves.
+`_clearing_integral`. `_surplus` gives the surplus (x - h) W(s) and its
+first-order term D [(x - h) f_Z(h) - F_Z(h)]; `_law_of_max`, the law of the
+highest competitor. Virtualized bids come from `shade.virtualize`. Linear
+shading (bid alpha x) reads the same law in `_linear_integral`, with one row
+per alpha, for payoffs or their exact alpha-derivatives.
 
 The boosted-second-price payoff and its (mu, sigma, xi) gradient share one
 integral, `_bsp_integral`, over s = -log u with u = 1 - F1(x1) and weight
@@ -67,17 +67,15 @@ def _product_density(t, cdfs, pdfs):
 
 
 class CompetitionDistribution:
-    """Law of Z = max(0, psi_i(B_i)) over competitors' bid models.
+    """What a bidder must beat, built by `competition_distribution`: the law W of her
+    competitors' highest score. Under Myerson (virtual) she meets it with her virtualized
+    bid h, and W is the law of Z = max(0, psi_i(B_i)), with mass atom0 = prod F_{B_i}(r*_i)
+    at 0. Under VCG with monopoly reserves r_i she meets it with her bid, and W is prod F_i
+    (lazy) or prod max(F_i(r_i), F_i) (eager), which kinks at the eager r_i, its kinks."""
 
-    cdf(t) is 0 for t < 0 and the product of per-competitor virtualized-bid
-    cdfs for t >= 0; the jump at 0 has mass atom0 = prod F_{B_i}(r*_i). Reading
-    atom0 inverts each virtual value, which refuses a non-regular grid law.
-    """
-
-    def __init__(self, bid_models):
-        self.models = tuple(bid_models)
-        zero = np.zeros(1)
-        self.atom0 = float(_law_of_max(zero, lambda m: m._virtual_law(zero), self.models)[0][0])
+    def __init__(self, models, virtual, atom0=None, reserves=None, kinks=()):
+        self.models, self.virtual, self.atom0 = tuple(models), virtual, atom0
+        self._reserves, self.kinks = reserves, kinks  # (r_i, F_i(r_i)) by law key
 
     @cached_property
     def tops(self):
@@ -85,12 +83,18 @@ class CompetitionDistribution:
         return tuple(m.virtual_range[1] for m in self.models if np.isfinite(m.virtual_range[1]))
 
     def law(self, t, density=False):
-        """(cdf(t), pdf(t) if density else None) from one evaluation of each
-        distinct competitor's virtualized-bid law, whose cdf the density's product
-        rule reuses. Competitors are matched by law_key: a repeated model object,
-        or equal GP models built apart, are read once; equal grid models built
-        apart are each read."""
+        """(W(t), its density at t if density else None) from one evaluation of each
+        distinct competitor's law, whose cdf the density's product rule reuses. Competitors
+        are matched by law_key: a repeated model object, or equal GP models built apart,
+        are read once; equal grid models built apart are each read."""
         t = np.asarray(t, dtype=float)
+        if not self.virtual:
+            def one(m):
+                r, floor = self._reserves[m.law_key]
+                cdf = np.maximum(floor, m.cdf(t))
+                return cdf, np.where(t > r, m.pdf(t), 0.0) if density else None
+
+            return _law_of_max(t, one, self.models, density)
         # at t <= 0 only the atom or 0 is returned, so each law is read at t+
         tc = np.maximum(t, 0.0)
         gamma, pdf = _law_of_max(t, lambda m: m._virtual_law(tc, density), self.models, density)
@@ -104,8 +108,32 @@ class CompetitionDistribution:
         return self.law(t, density=True)[1]
 
 
-def competition_distribution(bid_models) -> CompetitionDistribution:
-    return CompetitionDistribution(bid_models)
+def competition_distribution(bid_models, kind="myerson") -> CompetitionDistribution:
+    """The competition from these bid laws under Myerson, or VCG with monopoly reserves
+    applied lazily or eagerly; InvalidParams for another kind (second price clears where the
+    bid is >= 0, not where h >= 0). A non-regular grid law raises: its psi is inverted."""
+    models = tuple(bid_models)
+    if kind == "myerson":
+        zero = np.zeros(1)
+        atom0 = float(_law_of_max(zero, lambda m: m._virtual_law(zero), models)[0][0])
+        return CompetitionDistribution(models, True, atom0)
+    if kind not in ("vcg-lazy", "vcg-eager"):
+        raise InvalidParams(f"unsupported mechanism kind for a competition law: {kind!r}")
+    eager = kind == "vcg-eager"
+
+    def competitor(m):  # (reserve, floor), found once per distinct law
+        r = m.monopoly_price() if eager else -np.inf
+        return r, m.cdf(r) if eager else 0.0
+
+    reserves = dict(zip([m.law_key for m in models], _each_distinct(competitor, models)))
+    return CompetitionDistribution(models, False, reserves=reserves,
+                                   kinks=[reserves[m.law_key][0] for m in models] if eager else ())
+
+
+def _check_myerson(z):
+    """InvalidParams unless z is met by h: the callers read F_Z at h and its atom."""
+    if not z.virtual:
+        raise InvalidParams("this needs a Myerson competition_distribution")
 
 
 def gp_competition_ratio(params: GPParams, k: int):
@@ -163,41 +191,45 @@ def _clearing_point(h, lo, hi):
                   xtol=_EPS4 * (hi - lo), rtol=_EPS4)
 
 
-def _surplus(z, x, h, direction=None, value=False):
-    """The Myerson surplus (x - h) F_Z(h) at value x and virtualized bid h >= 0,
-    or, given a direction D of h, its first-order term D [(x - h) f_Z(h) - F_Z(h)],
-    below the surplus as rows of one array if value; Z's law is read once."""
+def _surplus(z, x, h, direction=None, value=False, bid=None):
+    """The surplus (x - h) W(s) at value x, virtualized bid h >= 0 and s = h (or bid(x) if
+    not z.virtual), or, given a direction D of h, its first-order term D [(x - h) f_Z(h) -
+    F_Z(h)], below the surplus as rows of one array if value; Z's law is read once."""
     net = x - h
     if direction is None:
-        return net * z.cdf(h)
+        return net * z.cdf(h if z.virtual else bid(x))
     cdf, pdf = z.law(h, density=True)
     term = direction * (net * pdf - cdf)
     return np.concatenate([(net * cdf)[None], term]) if value else term
 
 
-def _clearing_integral(d1, h, row, kinks=()):
+def _clearing_integral(d1, h, row, kinks=(), crossings=()):
     """(int row(x, max(h, 0)) f1 dx over [x0, grid upper], x0) for an increasing
-    virtualized bid h that clears at x0, split at kinks; (0.0, None) if h never
-    clears. The clearing region in x; `_bsp_integral` is its twin in s."""
-    hi = d1.grid_upper()
-    x0 = _clearing_point(h, d1.support[0], hi)
+    virtualized bid h that clears at x0, split at kinks and at the zero of each of crossings;
+    (0.0, None) if h never clears. The clearing region in x; `_bsp_integral` is its twin in s."""
+    lo, hi = d1.support[0], d1.grid_upper()
+    x0, *cuts = [_clearing_point(g, lo, hi) for g in (h, *crossings)]
     if x0 is None:
         return 0.0, None
     return _quad.integrate(lambda x: row(x, np.maximum(h(x), 0.0)) * d1.pdf(x), x0, hi,
-                           breakpoints=kinks), x0
+                           breakpoints=[*kinks, *(c for c in cuts if c is not None)]), x0
 
 
 def payoff_quadrature(d1: DistributionModel, strategy: ShadingStrategy,
                       z: CompetitionDistribution) -> PayoffEstimate:
     """Expected payoff of a bidder with values from d1 shading via strategy
-    against competition z, by adaptive quadrature.
+    against competition z, of any kind, by adaptive quadrature.
 
-    Integrates (x - h(x)) F_Z(h(x)) f1(x) over {h >= 0}, h the virtualized
-    bid; F_Z(0+) carries the atom, so a strategy whose virtualized bid stays
-    (barely) positive wins whenever every competitor misses her reserve.
+    Integrates (x - h(x)) W(s(x)) f1(x) over {h >= 0}, h the virtualized bid,
+    s = h (Myerson) or the bid (VCG, whose monopoly reserve clears where h >= 0),
+    split where the bid meets each of z.kinks; F_Z(0+) carries the atom, so a
+    strategy whose virtualized bid stays (barely) positive wins whenever every
+    competitor misses her reserve.
     """
+    bid = strategy.bid
     val, _ = _clearing_integral(d1, strategy.virtualized_bid,
-                                lambda x, hx: _surplus(z, x, hx), strategy.kinks)
+                                lambda x, hx: _surplus(z, x, hx, bid=bid), strategy.kinks,
+                                [lambda x, r=r: bid(x) - r for r in set(z.kinks)])
     return PayoffEstimate(mean=val, per_bidder=(val,))
 
 
@@ -295,68 +327,35 @@ def first_price_payoff(d1, beta_i: GridFunction, k: int) -> float:
 # Linear shading curves and derivatives
 # ----------------------------------------------------------------------
 
-def _linear_competition(competitor_models, kind):
-    """The competition a linear shader faces, as (law, kinks, virtual).
-
-    law(t, density) returns its cdf at t and, if density, its pdf (else None).
-    Under Myerson it is met by the virtualized bid alpha psi(x) (virtual). Under
-    VCG it is met by the bid alpha x and is G = prod H_i, with H_i = F_i (lazy)
-    or max(F_i(r_i), F_i) (eager). An eager H_i has zero density below the
-    reserve r_i, so G kinks there: the reserves are the kinks."""
-    if kind == "myerson":
-        return competition_distribution(competitor_models).law, (), True
-    if kind not in ("vcg-lazy", "vcg-eager"):
-        raise InvalidParams(f"unsupported mechanism kind for linear curves: {kind!r}")
-    eager = kind == "vcg-eager"
-    models = tuple(competitor_models)
-
-    def competitor(m):
-        r = m.monopoly_price() if eager else -np.inf
-        return r, m.cdf(r) if eager else 0.0
-
-    # (reserve, floor) by law key, found once per distinct law
-    comps = dict(zip([m.law_key for m in models], _each_distinct(competitor, models)))
-
-    def law(t, density=False):
-        def one(m):
-            r, floor = comps[m.law_key]
-            return np.maximum(floor, m.cdf(t)), np.where(t > r, m.pdf(t), 0.0) if density else None
-
-        return _law_of_max(t, one, models, density)
-
-    return law, [comps[m.law_key][0] for m in models] if eager else (), False
-
-
-def _linear_integral(d1, law, kinks, virtual, alphas, slope=False):
+def _linear_integral(d1, z, alphas, slope=False):
     """Linear-shading payoffs at each alpha, or with slope their alpha-derivatives,
-    as one integral over [r*, grid upper] with a row per alpha. With p = max(psi, 0),
-    s = p (virtual) or x and C, c the competition's cdf and pdf at alpha s, a row
-    is (x - alpha p) C f, or [(x - alpha p) s c - p C] f. r* does not move with
+    as one integral over [x0, grid upper], x0 = max(r*, support low), with a row per
+    alpha. With p = max(psi, 0), s = p (z.virtual) or x and C, c the law of z at alpha s,
+    a row is (x - alpha p) C f, or [(x - alpha p) s c - p C] f. x0 does not move with
     alpha, so no point-mass term enters the derivative."""
     a = np.asarray(alphas, dtype=float)[:, None]
 
     def integrand(x):
         p = np.maximum(d1.virtual_value_clamped(x), 0.0)
-        s = p if virtual else x
-        cdf, pdf = law(a * s, density=slope)
+        s = p if z.virtual else x
+        cdf, pdf = z.law(a * s, density=slope)
         net = x - a * p
         return (net * s * pdf - p * cdf if slope else net * cdf) * d1.pdf(x)
 
-    breaks = [r / alpha for r in kinks for alpha in a.ravel()]
-    # the zeros give every row a value when [r*, grid upper] is empty
-    return np.zeros(len(a)) + _quad.integrate(integrand, d1.monopoly_price(),
-                                              d1.grid_upper(), breakpoints=breaks)
+    breaks = [r / alpha for r in z.kinks for alpha in a.ravel()]
+    # the zeros give every row a value when [x0, grid upper] is empty
+    x0 = max(d1.monopoly_price(), d1.support[0])
+    return np.zeros(len(a)) + _quad.integrate(integrand, x0, d1.grid_upper(), breakpoints=breaks)
 
 
 def linear_payoff_curve(d1, competitor_models, cfg_kind, alphas):
-    """(alpha, payoff) pairs for a bidder who bids alpha x, each alpha in (0, 1],
-    against truthful competitors; the seller refits reserves to the bids (Myerson
-    virtualization, or monopoly VCG reserves applied lazily or eagerly). The whole
-    curve is one vector integral with a row per alpha; under eager VCG each
-    competitor's reserve r_i is met at x = r_i/alpha, a breakpoint."""
-    competition = _linear_competition(competitor_models, cfg_kind)
+    """(alpha, payoff) pairs for a bidder who bids alpha x, each alpha in (0, 1], against
+    truthful competitors, under the kinds `competition_distribution` takes. The whole curve
+    is one vector integral with a row per alpha; under eager VCG each competitor's reserve
+    r_i is met at x = r_i/alpha, a breakpoint."""
+    z = competition_distribution(competitor_models, cfg_kind)
     alphas = [_alpha(a) for a in alphas]
-    return list(zip(alphas, map(float, _linear_integral(d1, *competition, alphas))))
+    return list(zip(alphas, map(float, _linear_integral(d1, z, alphas))))
 
 
 def payoff_derivative_alpha(d1, competitor_models, at_alpha, kind="myerson"):
@@ -364,8 +363,8 @@ def payoff_derivative_alpha(d1, competitor_models, at_alpha, kind="myerson"):
     integral of the payoff integrand's alpha-derivative,
     Myerson: psi [(x - alpha psi) f_Z(alpha psi) - F_Z(alpha psi)] f, and
     VCG: [(x - alpha psi) x g(alpha x) - psi G(alpha x)] f with g = G'."""
-    competition = _linear_competition(competitor_models, kind)
-    return float(_linear_integral(d1, *competition, [_alpha(at_alpha)], slope=True)[0])
+    z = competition_distribution(competitor_models, kind)
+    return float(_linear_integral(d1, z, [_alpha(at_alpha)], slope=True)[0])
 
 
 # ----------------------------------------------------------------------
@@ -384,6 +383,7 @@ def directional_derivative(d1, beta, rho, z: CompetitionDistribution):
     where h first reaches 0. It is added only when x0 > lo, the low end of the
     support, which holds exactly when h(lo) < 0: a clearing point at lo cannot move.
     """
+    _check_myerson(z)
     many = isinstance(rho, (list, tuple))
     # a list is one direction with a row each: the transform identity acts row by row
     fn, slope = (rho, rho.derivative) if not many else (
@@ -472,6 +472,7 @@ def _bsp_integral(d1, p: GPParams, z: CompetitionDistribution, row):
     The range is split at s0 + 2^j, j = -1..9, and where psi meets each
     competitor's top virtualized bid, where F_Z kinks and f_Z jumps. The
     integral is 0 when psi never reaches 0 before _S_END."""
+    _check_myerson(z)
     s0 = max(_gp_s_at_virtual(p, 0.0), 0.0)
 
     def integrand(s):

@@ -60,10 +60,10 @@ class ShadingStrategy:
 
 
 def _alpha(alpha) -> float:
-    """A linear shading level as a float; InvalidParams unless it lies in (0, 1]."""
+    """A linear shading level as a float; InvalidParams unless a normal float in (0, 1]."""
     alpha = float(alpha)
-    if not 0 < alpha <= 1:
-        raise InvalidParams(f"alpha must lie in (0, 1], got {alpha}")
+    if not 2.0 ** -1022 <= alpha <= 1:  # a subnormal alpha psi(x < r*) rounds to -0.0
+        raise InvalidParams(f"alpha must be a normal float in (0, 1], got {alpha}")
     return alpha
 
 

@@ -8,7 +8,8 @@ written once. Every PCHIP table is built by dist._pchip, so no module uses
 scipy's PchipInterpolator, and only dist._Table calls scipy's private
 compiled PPoly evaluation. A model family implements one rule of each pair
 cdf/sf and quantile/isf; the base derives the other. The payoff engines
-integrate in four places only, and the clearing point is found in one.
+integrate in four places only, and the clearing point is found in one. One
+builder makes the competition a bidder faces, for every threshold kind.
 maximize_bsp takes the BSP payoff and gradient from one integral, and the
 BSP point-mass term is written once.
 Per-call paths call no numpy wrapper that ends in a ufunc, constructor or
@@ -151,6 +152,14 @@ def _src_callers(callee):
 def test_one_clearing_point_caller():
     # the clearing point is found in one place, for the integral in x
     assert _src_callers("_clearing_point") == [("payoff.py", "_clearing_integral")]
+
+
+def test_one_competition_builder():
+    # every threshold kind's competition comes from competition_distribution:
+    # the VCG closure it replaced is gone, and no other code builds the object
+    assert not any("_linear_competition" in path.read_text() for path in SRC.rglob("*.py"))
+    assert set(_src_callers("CompetitionDistribution")) == {
+        ("payoff.py", "competition_distribution")}
 
 
 def test_payoff_integrates_in_four_places():

@@ -11,8 +11,8 @@ which finds each bracket by np.searchsorted and steps every point 3 times,
 as the reference, and require the same bytes (so a signed zero counts) on
 random tables, increasing, steep-and-flat (where steps leave their
 brackets) and of any shape, with targets inside, at and beyond the table
-ends, 0-d, 1-d and 2-d, batches either side of `_NUMPY_MIN_POINTS` and of
-`_NUMPY_MIN_PAIR_POINTS`, and on the symmetric case where the target is
+ends, 0-d, 1-d and 2-d, batches either side of `_NUMPY_MIN_POINTS`, the
+one crossover of every table read, and on the symmetric case where the target is
 read from an equal table and the steps reach 0; one more fixes a guess
 that rounds out of its bracket and is clipped into it. Another reads the
 reference's guesses, values and slopes from scipy's PchipInterpolator, on
@@ -62,8 +62,7 @@ def assert_same(a, b):
     assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
 
-SIZES = [0, 1, 7, dist._NUMPY_MIN_PAIR_POINTS - 1, dist._NUMPY_MIN_PAIR_POINTS,
-         dist._NUMPY_MIN_PAIR_POINTS + 1, dist._NUMPY_MIN_POINTS - 1, dist._NUMPY_MIN_POINTS,
+SIZES = [0, 1, 7, 256, dist._NUMPY_MIN_POINTS - 1, dist._NUMPY_MIN_POINTS,
          dist._NUMPY_MIN_POINTS + 1, 3000]
 
 
@@ -163,7 +162,7 @@ def test_invert_keeps_shape_and_bytes_on_both_sides_of_the_crossovers(shape, lim
     y = rng.uniform(values[0] - 1.0, values[-1] + 1.0, size=shape)
     given_y = np.copy(y)
     expected = scipy_steps(knots, values, values[keep], knots[keep], y)
-    with mock.patch.multiple(dist, _NUMPY_MIN_POINTS=limit, _NUMPY_MIN_PAIR_POINTS=limit):
+    with mock.patch.object(dist, "_NUMPY_MIN_POINTS", limit):
         got = table.invert(y, inverse)
     assert_same(got, expected)
     assert_same(y, given_y)  # the caller's target is not written to

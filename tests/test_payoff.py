@@ -196,7 +196,8 @@ class TestDistinctCompetitors:
 
     def test_vcg_law_reads_a_repeated_model_once(self, monkeypatch):
         m = dist.make_gp(0.1, 0.7, -0.4)
-        law, kinks, _ = payoff._linear_competition([m] * 4, "vcg-eager")
+        z = payoff.competition_distribution([m] * 4, "vcg-eager")
+        law, kinks = z.law, z.kinks
         assert kinks == [m.monopoly_price()] * 4
         reads = []
         for name in ("cdf", "pdf"):
@@ -208,8 +209,8 @@ class TestDistinctCompetitors:
     @pytest.mark.parametrize("kind", ["vcg-lazy", "vcg-eager"])
     @pytest.mark.parametrize("pattern", ["aaaa", "abaa"])
     def test_vcg_law_is_the_product_over_every_competitor(self, kind, pattern):
-        # G = prod H_i and g by the product rule, in competitor order, as
-        # _linear_competition computed them before repeated models were merged
+        # G = prod H_i and g by the product rule, in competitor order, as the
+        # VCG law was computed before repeated models were merged
         named = {"a": dist.make_gp(0.1, 0.7, -0.4), "b": dist.make_uniform()}
         models = [named[c] for c in pattern]
         eager = kind == "vcg-eager"
@@ -218,7 +219,7 @@ class TestDistinctCompetitors:
         t = np.linspace(0.0, 2.0, 201)
         cdfs = [np.maximum(f_r, m.cdf(t)) for m, f_r in zip(models, floors)]
         pdfs = [np.where(t > r, m.pdf(t), 0.0) for m, r in zip(models, reserves)]
-        cdf, pdf = payoff._linear_competition(models, kind)[0](t, density=True)
+        cdf, pdf = payoff.competition_distribution(models, kind).law(t, density=True)
         assert cdf.tobytes() == functools.reduce(np.multiply, cdfs, np.ones_like(t)).tobytes()
         assert pdf.tobytes() == payoff._product_density(t, cdfs, pdfs).tobytes()
 
@@ -325,6 +326,117 @@ class TestPayoffQuadrature:
         assert payoff.payoff_quadrature(u, s, z_two_uniform).mean == 0.0
 
 
+class TestOneCompetitionBuilder:
+    """competition_distribution builds what a bidder must beat under Myerson and
+    lazy and eager VCG; payoff_quadrature prices any strategy against each."""
+
+    @pytest.mark.parametrize("kind", ["second-price", "boosted-second-price", "first-price",
+                                      "vickrey", ""])
+    def test_other_kinds_are_refused(self, kind):
+        with pytest.raises(InvalidParams, match="unsupported mechanism kind"):
+            payoff.competition_distribution(uniforms(2), kind)
+
+    @pytest.mark.parametrize("kind", ["vcg-lazy", "vcg-eager"])
+    def test_vcg_competition_is_met_by_the_bid(self, kind):
+        z = payoff.competition_distribution(uniforms(2), kind)
+        assert not z.virtual and z.atom0 is None
+        assert z.kinks == ([0.5, 0.5] if kind == "vcg-eager" else ())
+        assert payoff.competition_distribution(uniforms(2)).virtual
+
+    @pytest.mark.parametrize("kind", ["vcg-lazy", "vcg-eager"])
+    def test_directional_derivative_refuses_a_vcg_competition(self, kind, eq3):
+        z = payoff.competition_distribution([eq3.bid_distribution()] * 2, kind)
+        beta = eq3.as_grid_function()
+        rho = dist.GridFunction.from_callable(lambda x: x, 0.0, 1.0, 64)
+        with pytest.raises(InvalidParams, match="Myerson"):
+            payoff.directional_derivative(dist.make_uniform(), beta, rho, z)
+
+    @pytest.mark.parametrize("kind", ["vcg-lazy", "vcg-eager"])
+    @pytest.mark.parametrize("call", [
+        lambda u, p, z: payoff.bsp_payoff(u, p, z),
+        lambda u, p, z: payoff.bsp_payoff_gradient(u, p, z),
+        lambda u, p, z: payoff.bsp_payoff_and_gradient(u, p, z),
+    ], ids=["payoff", "gradient", "payoff_and_gradient"])
+    def test_bsp_refuses_a_vcg_competition(self, kind, call):
+        z = payoff.competition_distribution(uniforms(2), kind)
+        with pytest.raises(InvalidParams, match="Myerson"):
+            call(dist.make_uniform(), dist.GPParams(0.0, 1 / 3, -1.0), z)
+
+    @pytest.mark.parametrize("kind", ["vcg-lazy", "vcg-eager"])
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_truthful_uniform_closed_form(self, kind, k):
+        # the bidder clears at her monopoly price 1/2, where every rival's bid
+        # clears too: int_{1/2}^1 (1 - x) x^(K-1) dx under both VCG kinds
+        u = dist.make_uniform()
+        z = payoff.competition_distribution(uniforms(k - 1), kind)
+        exact = 1 / (k * (k + 1)) - 2.0 ** -k / k + 2.0 ** -(k + 1) / (k + 1)
+        assert payoff.payoff_quadrature(u, shade.truthful(u), z).mean \
+            == pytest.approx(exact, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", ["vcg-lazy", "vcg-eager"])
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_uniform_equilibrium_closed_form(self, kind, k):
+        # the equilibrium bid law's monopoly price is its bottom, so every
+        # bid clears: h = (K-1) x / K and W = x^(K-1) give 1/(K(K+1))
+        u = dist.make_uniform()
+        eq = shade.equilibrium_shading(u, k)
+        z = payoff.competition_distribution([eq.bid_distribution()] * (k - 1), kind)
+        assert payoff.payoff_quadrature(u, eq, z).mean \
+            == pytest.approx(1 / (k * (k + 1)), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("kind", ["vcg-lazy", "vcg-eager"])
+    @pytest.mark.parametrize("case", ["equilibrium", "one-vs-uniform"])
+    def test_quadrature_matches_monte_carlo(self, kind, case):
+        # K=3 uniforms: every bidder at the equilibrium shading, or bidder 0 at
+        # the one-vs-uniform shading against two truthful bidders; the seller
+        # fits monopoly reserves to every bid law. 10^6 rounds at seed 32
+        models = uniforms(3)
+        if case == "equilibrium":
+            strategies = [shade.equilibrium_shading(m, 3) for m in models]
+        else:
+            strategies = [shade.one_vs_uniform_shading(models[0], 3)] \
+                + [shade.truthful(m) for m in models[1:]]
+        bids = [s.bid_distribution() for s in strategies]
+        z = payoff.competition_distribution(bids[1:], kind)
+        quad = payoff.payoff_quadrature(models[0], strategies[0], z).mean
+        cfg = mech.fit_mechanism(kind, bids)
+        est = payoff.payoff_monte_carlo(models, strategies, cfg, 10 ** 6, seed=32)
+        assert abs(quad - est.per_bidder[0]) < 3 * est.per_bidder_se[0]
+
+    @pytest.mark.parametrize("kind", ["vcg-lazy", "vcg-eager"])
+    def test_eager_reserve_crossing_is_a_breakpoint(self, kind, monkeypatch):
+        # the bid 0.6 x meets the rivals' reserve 1/2 at x = 5/6, inside the
+        # clearing region [1/2, 1]: eager VCG splits there, lazy VCG has no kink
+        breaks = []
+        integrate = _quad.integrate
+        monkeypatch.setattr(_quad, "integrate", lambda f, a, b, breakpoints=(), **kw:
+                            breaks.append(sorted(breakpoints)) or integrate(f, a, b, breakpoints, **kw))
+        u = dist.make_uniform()
+        z = payoff.competition_distribution(uniforms(2), kind)
+        payoff.payoff_quadrature(u, shade.linear_shading(u, 0.6), z)
+        assert breaks == [[pytest.approx(5 / 6, rel=1e-15)] if kind == "vcg-eager" else []]
+
+
+# GP shapes as test_equal_gp_models_built_apart_give_the_same_bytes draws them
+@settings(max_examples=40, deadline=None)
+@given(st.floats(0.0, 0.5), st.floats(0.1, 2.0),
+       st.one_of(st.floats(-0.5, -0.05), st.just(-1.0)), st.integers(2, 4),
+       st.floats(np.finfo(float).tiny, 1.0), st.sampled_from(KINDS))
+# r* = 0.151 lies below the support [0.203, 0.453]: the curve once integrated
+# from r*, across the density's jump at the support's low end, 1.8e-12 off
+@example(0.203125, 0.125, -0.5, 3, 0.25, "myerson")
+def test_linear_shading_quadrature_equals_the_payoff_curve(mu, sigma, xi, k, alpha, kind):
+    # payoff_quadrature, from its clearing point with the eager reserve
+    # crossings as breakpoints, against _linear_integral's row from r*; every
+    # normal alpha in (0, 1], as _alpha refuses subnormal ones
+    m = dist.make_gp(mu, sigma, xi)
+    rivals = [dist.make_gp(mu, sigma, xi) for _ in range(k - 1)]
+    z = payoff.competition_distribution(rivals, kind)
+    quad = payoff.payoff_quadrature(m, shade.linear_shading(m, alpha), z).mean
+    (_, curve), = payoff.linear_payoff_curve(m, rivals, kind, [alpha])
+    assert quad == pytest.approx(curve, rel=1e-12, abs=0)
+
+
 class TestMonteCarlo:
     def test_truthful_three_bidders(self):
         models = uniforms(3)
@@ -369,7 +481,6 @@ class TestMonteCarlo:
         assert runs[0] == runs[1] == runs[2]
         # the same run with every table call evaluated by scipy
         monkeypatch.setattr(dist, "_NUMPY_MIN_POINTS", np.inf)
-        monkeypatch.setattr(dist, "_NUMPY_MIN_PAIR_POINTS", np.inf)
         assert run(1) == runs[0]
 
     def test_env_var_workers(self, monkeypatch):
@@ -457,7 +568,8 @@ class TestLinearPayoffCurve:
             payoff.linear_payoff_curve(dist.make_uniform(), uniforms(1), "first-price", [0.5])
 
     @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, np.nan])
+    # 5e-324: a subnormal alpha psi rounds to -0.0 below r*, where the bidder would clear
+    @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5, np.nan, 5e-324])
     def test_alpha_outside_unit_interval_raises(self, kind, alpha):
         with pytest.raises(InvalidParams):
             payoff.linear_payoff_curve(dist.make_uniform(), uniforms(2), kind, [0.5, alpha])

@@ -1,10 +1,10 @@
 """The grid layer's PCHIP table against scipy's PchipInterpolator.
 
-Batches at or above the crossover (dist._NUMPY_MIN_POINTS for a value or
-slope read, dist._NUMPY_MIN_PAIR_POINTS for a value-and-slope read) are
-evaluated in numpy with one interval lookup shared by value and slope;
-smaller ones call the compiled loop that PPoly.__call__ ends in, without its
-wrapper. These tests move both crossovers to either side of each batch, so
+Batches at or above the crossover (dist._NUMPY_MIN_POINTS, for value,
+slope and value-and-slope reads alike) are evaluated in numpy with one
+interval lookup shared by value and slope; smaller ones call the compiled
+loop that PPoly.__call__ ends in, without its wrapper. These tests move the
+crossover to either side of each batch, so
 they exercise both paths whatever their values, and require every read to
 give the same bits as scipy on equispaced knots, on default grids merged
 with kink knots and on strongly non-uniform (geometric) knots, for queries
@@ -81,9 +81,9 @@ def queries(draw, x):
 
 
 def crossover(limit):
-    """Both crossovers at limit: 0 sends every batch to numpy, a limit above
+    """The crossover at limit: 0 sends every batch to numpy, a limit above
     the batch sends it to scipy's compiled loop."""
-    return mock.patch.multiple(dist, _NUMPY_MIN_POINTS=limit, _NUMPY_MIN_PAIR_POINTS=limit)
+    return mock.patch.object(dist, "_NUMPY_MIN_POINTS", limit)
 
 
 def assert_same_bits(got, want):
