@@ -114,9 +114,9 @@ def _pchip(x, y):
 
 
 class _Table:
-    """Fritsch-Carlson PCHIP interpolant of (x, y) and its slope, both
+    """Fritsch-Carlson PCHIP interpolant of (x, y) and its own derivative, both
     extrapolated from the end intervals, built by `_pchip` and evaluated bit
-    for bit as scipy's PchipInterpolator evaluates them.
+    for bit as scipy's PchipInterpolator and its derivative evaluate them.
 
     Small batches call the compiled loop that PPoly.__call__ ends in, on
     `_pchip`'s C-contiguous coefficients and knots, as that loop requires.
@@ -133,10 +133,8 @@ class _Table:
     inverse, which also brackets each root by two of this table's knots.
     """
 
-    def __init__(self, x, y, slopes=None):
+    def __init__(self, x, y):
         self._pp = _signless_zeros(_pchip(x, y))
-        if slopes is not None:
-            self._dpp = _signless_zeros(_pchip(x, slopes))
         self.x = self._pp.x
         self.y = np.asarray(y, dtype=float)
         self._step = (self.x.size - 1) / (self.x[-1] - self.x[0])  # knots per unit of q
@@ -165,8 +163,7 @@ class _Table:
 
     @functools.cached_property
     def _dpp(self):
-        # the slope: the interpolant's derivative, or the PCHIP of the
-        # tabulated slopes given at construction (a cdf table's density)
+        # the slope, the interpolant's derivative: made on the first slope read
         return _signless_zeros(self._pp.derivative())
 
     def _guess(self, q):
@@ -569,7 +566,9 @@ class GPDistribution(DistributionModel):
 
 
 class GridDistribution(DistributionModel):
-    """Distribution backed by tabulated cdf (and optionally pdf) values."""
+    """Distribution backed by a table of its cdf, which `quantile` inverts on
+    that table's own slope, and one of its density, which `pdf` reads: of the
+    tabulated pdf values, or else of the cdf table's slope at the knots."""
 
     def __init__(self, knots, cdf_values, pdf_values=None):
         knots = np.asarray(knots, dtype=float)
@@ -584,15 +583,13 @@ class GridDistribution(DistributionModel):
         self.cdf_values = np.clip(cdf_values, 0.0, 1.0)
         if np.any(np.diff(self.cdf_values) <= 0):
             raise NonMonotone("cdf values must be strictly increasing")
-        if pdf_values is None:
-            pdf_values = _pchip(knots, self.cdf_values).derivative()(knots)
-        else:
-            pdf_values = np.asarray(pdf_values, dtype=float)
+        self._F = _Table(self.knots, self.cdf_values)
+        pdf_values = self._F.slope(knots) if pdf_values is None \
+            else np.asarray(pdf_values, dtype=float)
         if np.any(~np.isfinite(pdf_values)) or np.any(pdf_values[1:-1] <= 0):
             raise InvalidParams("density must be finite and positive on the support interior")
         self.pdf_values = np.clip(pdf_values, 0.0, None)
-        # cdf F and density f: one table, so that they share each lookup
-        self._F = _Table(self.knots, self.cdf_values, self.pdf_values)
+        self._f = _Table(self.knots, self.pdf_values)
         self._Q = _Table(self.cdf_values, self.knots)
         if not np.isfinite(self._Q._pp.c).all():  # cdf steps so small that t/h overflows
             raise InvalidParams("quantile table coefficients must be finite")
@@ -614,7 +611,7 @@ class GridDistribution(DistributionModel):
             if x_c > xs[-1] + 1e-15 * (self.knots[-1] - self.knots[0]):
                 xs = np.append(xs, x_c)
                 fcdf = np.append(fcdf, cutoff)
-                fpdf = np.append(fpdf, np.clip(self._F.slope(x_c), 0.0, None))
+                fpdf = np.append(fpdf, np.clip(self._f(x_c), 0.0, None))
         psi = xs - (1.0 - fcdf) / np.clip(fpdf, 1e-300, None)
         self.psi_domain = (float(xs[0]), float(xs[-1]))
         # regularity is only decidable up to the grid's own resolution
@@ -643,7 +640,7 @@ class GridDistribution(DistributionModel):
         x = np.asarray(x, dtype=float)
         inside = (x >= self.knots[0]) & (x <= self.knots[-1])
         out = np.zeros(x.shape)
-        out[inside] = np.maximum(self._F.slope(x[inside]), 0.0)
+        out[inside] = np.maximum(self._f(x[inside]), 0.0)
         return out
 
     def quantile(self, q):

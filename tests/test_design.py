@@ -6,7 +6,8 @@ strategy class with isinstance (or issubclass). A grid-backed law is built
 only in dist.py, where the push-forward H(beta(x)) = F(x), h = f/beta' is
 written once. Every PCHIP table is built by dist._pchip, so no module uses
 scipy's PchipInterpolator, and only dist._Table calls scipy's private
-compiled PPoly evaluation. A model family implements one rule of each pair
+compiled PPoly evaluation. A table is built from (x, y) alone, so its slope
+is its own derivative. A model family implements one rule of each pair
 cdf/sf and quantile/isf; the base derives the other. The payoff engines
 integrate in four places only, and the clearing point is found in one. One
 builder makes the competition a bidder faces, for every threshold kind.
@@ -18,6 +19,7 @@ private core modules.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 from shadecraft import dist, shade
@@ -199,6 +201,31 @@ def test_scan_sees_a_read():
     tree = ast.parse("def f(z):\n    return z.atom0\nclass C:\n    def g(self):\n"
                      "        self.atom0 = 1\natom0 = z.atom0\n")
     assert list(_readers(tree, "atom0")) == ["f", "C", None]
+
+
+def _table_builds(tree):
+    """(line, positional count, keyword names) of each call to _Table, by
+    name or attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] == "_Table":
+            yield node.lineno, len(node.args), [k.arg for k in node.keywords]
+
+
+def test_a_table_is_one_function_and_its_own_slope():
+    # _Table(x, y) holds one PCHIP, whose slope is its derivative: a second
+    # function read as the slope would let Newton step on another table's slope
+    assert list(inspect.signature(dist._Table).parameters) == ["x", "y"]
+    found = [f"{path.name}:{line}" for path in sorted(SRC.rglob("*.py"))
+             for line, args, keywords in _table_builds(ast.parse(path.read_text(), str(path)))
+             if (args, keywords) != (2, [])]
+    assert not found, "_Table built with other than (x, y):\n" + "\n".join(found)
+    assert len(list(_table_builds(ast.parse((SRC / "dist.py").read_text())))) >= 5
+
+
+def test_scan_sees_a_table_build():
+    tree = ast.parse("a = _Table(x, y)\nb = dist._Table(x, y, slopes)\nc = _Table(x, y=v)\n"
+                     "d = Table(x, y, z)\n")
+    assert list(_table_builds(tree)) == [(1, 2, []), (2, 3, []), (3, 1, ["y"])]
 
 
 def test_only_the_table_calls_scipys_private_evaluation():

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 
 from shadecraft import dist, shade
 from shadecraft._quad import integrate
@@ -405,6 +406,35 @@ class TestGridModel:
         # the first piece one ulp below the first knot is not cdf_values[0]: a
         # read that missed the first knot by an ulp would fail the test
         assert (g._F(np.full(n, np.nextafter(xs[0], -np.inf))) != 0.1).all()
+
+    @pytest.mark.parametrize("model", [
+        dist.make_grid(np.linspace(0, 1, 50), np.linspace(0, 1, 50) ** 3),
+        shade.linear_shading(dist.make_grid(np.linspace(0, 1, 300), np.linspace(0, 1, 300) ** 2),
+                             0.7).bid_distribution(),
+    ], ids=["cube", "linear-0.7-of-square"])
+    def test_cdf_of_quantile_is_q_to_4_eps(self, model):
+        # quantile inverts the cdf table on its own slope, so Newton meets
+        # the root of the table it reads back
+        q = np.random.default_rng(33).random(20_000)
+        assert np.abs(model.cdf(model.quantile(q)) - q).max() <= 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("density", [True, False], ids=["given", "from-cdf"])
+    @pytest.mark.parametrize("n", [300, 2048])  # below and above dist._NUMPY_MIN_POINTS
+    def test_density_is_the_pchip_of_its_values(self, n, density):
+        # pdf reads a table of pdf_values, bit for bit scipy's PCHIP of them;
+        # without a density, pdf_values are the cdf PCHIP's derivative at the knots
+        rng = np.random.default_rng(n)
+        xs = np.cumsum(rng.exponential(size=n))
+        cdf = np.cumsum(rng.exponential(size=n))
+        cdf = (cdf - cdf[0]) / (cdf[-1] - cdf[0])
+        g = dist.make_grid(xs, cdf, rng.exponential(size=n) if density else None)
+        if not density:
+            slopes = PchipInterpolator(xs, cdf).derivative()(xs)
+            assert g.pdf_values.tobytes() == np.clip(slopes, 0.0, None).tobytes()
+        pdf = PchipInterpolator(xs, g.pdf_values)
+        for size in (500, 3000):  # reads below and above dist._NUMPY_MIN_POINTS
+            x = np.concatenate([rng.uniform(xs[0], xs[-1], size - 20), rng.choice(xs, 20)])
+            assert g.pdf(x).tobytes() == np.maximum(pdf(x), 0.0).tobytes()
 
     def test_non_regular_grid_rejected_for_inverse(self):
         # bimodal-ish density gives a non-monotone virtual value

@@ -212,12 +212,40 @@ def test_grid_callers_match_three_steps(model):
         assert_same(model.quantile(q0), table_steps(model._F, model._Q, q0))
 
 
+@pytest.mark.parametrize("model", [
+    dist.make_grid(np.linspace(0, 1, 64), np.linspace(0, 1, 64) ** 2),
+    shade.equilibrium_shading(dist.make_gp(0.2, 1.0, -0.5), 3).bid_distribution(),
+])
+def test_quantile_steps_on_the_cdf_tables_own_slope(model):
+    # the reference's slope is scipy's derivative of the cdf PCHIP, not the
+    # PCHIP of the tabulated density; batches and 0-d targets on both sides
+    # of the crossover
+    knots, cdf = model.knots, model.cdf_values
+    q = np.concatenate([[0.0, 1.0, 1 - dist.TAIL_CDF_CUTOFF, 1 - 1e-15],
+                        np.random.default_rng(5).random(2000)])
+    for y in (q, q[:7], np.asarray(q[2]), np.asarray(0.3)):
+        assert_same(model.quantile(y), scipy_steps(knots, cdf, cdf, knots, y))
+
+
+@pytest.mark.parametrize("k", range(2, 7))
+@pytest.mark.parametrize("mu", [0.0, 0.2])
+def test_gp_bid_law_quantile_solves_its_cdf_table_near_the_top(mu, k):
+    # the density ends at 0 at the top, but the cdf table's own slope does
+    # not, so Newton converges inside the last knot interval: the cutoff
+    # quantile's cdf is the cutoff to 2 ulps, and the quantile of 1 - 1e-15,
+    # whose root is ~1e-15 below the top, is within 1e-14 of the top
+    bids = shade.equilibrium_shading(dist.make_gp(mu, 1.0, -0.5), k).bid_distribution()
+    cutoff = 1 - dist.TAIL_CDF_CUTOFF
+    assert abs(bids.cdf(bids.quantile(np.asarray(cutoff))) - cutoff) <= 2 * np.spacing(cutoff)
+    assert bids.knots[-1] - bids.quantile(1 - 1e-15) <= 1e-14
+
+
 def test_quantile_near_one_where_the_density_ends_at_zero():
     # the K=2 equilibrium bid law of GP(0, 1, -0.5): its cdf table passes
-    # 1 - 1e-9 inside the last knot interval, at ~0.666666666. Newton from the
-    # quantile table's guess reaches the top knot, where the density is 0, and
-    # the 1e-12 slope floor sends the next step out of the bracket, which is
-    # bisected instead
+    # 1 - 1e-9 inside the last knot interval, at ~0.666666666, where the
+    # density falls to 0 at the top knot. Newton steps on the cdf table's own
+    # slope, ~1.31 across that interval, and from the quantile table's guess
+    # reaches the root in two steps, inside the bracket
     bids = shade.equilibrium_shading(dist.make_gp(0.0, 1.0, -0.5), 2).bid_distribution()
     q = bids.quantile([1 - 1e-9, 1 - 1e-12])
     assert np.all((q > bids.knots[-2]) & (q <= bids.knots[-1]))
@@ -229,7 +257,9 @@ def test_gp_bid_law_psi_table_reaches_its_cutoff(mu, k):
     # the psi table ends at the 1 - 1e-9 quantile, inside the last knot
     # interval, and not at the knot before it, 2.4e-7 of mass below the top
     bids = shade.equilibrium_shading(dist.make_gp(mu, 1.0, -0.5), k).bid_distribution()
-    assert bids.sf(bids.psi_domain[1]) <= dist.TAIL_CDF_CUTOFF + 4 * np.finfo(float).eps
+    eps = np.finfo(float).eps
+    assert dist.TAIL_CDF_CUTOFF - 4 * eps <= bids.sf(bids.psi_domain[1]) \
+        <= dist.TAIL_CDF_CUTOFF + 4 * eps
     q = bids.quantile([1 - 1e-9, 1 - 1e-12])
     assert np.all((q > bids.knots[-2]) & (q <= bids.knots[-1]))
     # the quantile table's guess at 1 rounds above the top knot and is

@@ -59,8 +59,7 @@ def tables(draw):
         else rng.normal(size=x.size)
     # signed zeros: scipy's sums start from 0.0, which drops the sign of -0.0
     y[rng.random(x.size) < 0.05] = draw(st.sampled_from([0.0, -0.0]))
-    slopes = draw(st.sampled_from([None, rng.exponential(size=x.size)]))
-    return x, y, slopes
+    return x, y
 
 
 @st.composite
@@ -97,11 +96,11 @@ def assert_same_bits(got, want):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_numpy_path_is_bit_equal_to_scipy(data):
-    x, y, slopes = data.draw(tables())
+    x, y = data.draw(tables())
     q = data.draw(queries(x))
     value = PchipInterpolator(x, y, extrapolate=True)
-    slope = value.derivative() if slopes is None else PchipInterpolator(x, slopes)
-    table = dist._Table(x, y, slopes)
+    slope = value.derivative()
+    table = dist._Table(x, y)
     with crossover(0):
         assert_same_bits(table(q), value(q))
         assert_same_bits(table.slope(q), slope(q))
@@ -120,7 +119,7 @@ def test_numpy_path_is_bit_equal_to_scipy(data):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_interval_is_scipys_extrapolating_search(data):
-    x, y, _ = data.draw(tables())
+    x, y = data.draw(tables())
     q = np.ravel(data.draw(queries(x)))
     np.testing.assert_array_equal(dist._Table(x, y)._locate(q)[0],
                                   np.searchsorted(x[1:-1], q, side="right"))
@@ -237,7 +236,7 @@ def test_locate_is_exact_for_any_guess(data):
     # clipped into range: every point still gets searchsorted's interval and
     # the offset from its left knot, to the byte, at the knots, one ulp either
     # side of them, beyond both ends, NaN and +-inf
-    x, y, _ = data.draw(tables())
+    x, y = data.draw(tables())
     x = np.linspace(x[0], x[-1], x.size)
     table = dist._Table(x, y)
     assert table._scale is not None
