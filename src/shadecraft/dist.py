@@ -567,8 +567,8 @@ class GPDistribution(DistributionModel):
 
 class GridDistribution(DistributionModel):
     """Distribution backed by a table of its cdf, which `quantile` inverts on
-    that table's own slope, and one of its density, which `pdf` reads: of the
-    tabulated pdf values, or else of the cdf table's slope at the knots."""
+    that table's own slope. `pdf` reads a table of the given pdf values, or
+    without them that slope itself, so that a cdf alone defines one law."""
 
     def __init__(self, knots, cdf_values, pdf_values=None):
         knots = np.asarray(knots, dtype=float)
@@ -584,12 +584,12 @@ class GridDistribution(DistributionModel):
         if np.any(np.diff(self.cdf_values) <= 0):
             raise NonMonotone("cdf values must be strictly increasing")
         self._F = _Table(self.knots, self.cdf_values)
-        pdf_values = self._F.slope(knots) if pdf_values is None \
-            else np.asarray(pdf_values, dtype=float)
+        from_cdf = pdf_values is None  # then the density is the cdf table's own slope
+        pdf_values = self._F.slope(knots) if from_cdf else np.asarray(pdf_values, dtype=float)
         if np.any(~np.isfinite(pdf_values)) or np.any(pdf_values[1:-1] <= 0):
             raise InvalidParams("density must be finite and positive on the support interior")
         self.pdf_values = np.clip(pdf_values, 0.0, None)
-        self._f = _Table(self.knots, self.pdf_values)
+        self._f = self._F.slope if from_cdf else _Table(self.knots, self.pdf_values)
         self._Q = _Table(self.cdf_values, self.knots)
         if not np.isfinite(self._Q._pp.c).all():  # cdf steps so small that t/h overflows
             raise InvalidParams("quantile table coefficients must be finite")

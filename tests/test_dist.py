@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from shadecraft import dist, shade
-from shadecraft._quad import integrate
+from shadecraft._quad import integrate, panel_integrals
 from shadecraft.errors import ConfigError, InvalidParams, NonMonotone, OutOfSupport
 
 
@@ -422,19 +422,36 @@ class TestGridModel:
     @pytest.mark.parametrize("n", [300, 2048])  # below and above dist._NUMPY_MIN_POINTS
     def test_density_is_the_pchip_of_its_values(self, n, density):
         # pdf reads a table of pdf_values, bit for bit scipy's PCHIP of them;
-        # without a density, pdf_values are the cdf PCHIP's derivative at the knots
+        # without a density, pdf_values are the cdf PCHIP's derivative at the
+        # knots, and pdf is that derivative everywhere
         rng = np.random.default_rng(n)
         xs = np.cumsum(rng.exponential(size=n))
         cdf = np.cumsum(rng.exponential(size=n))
         cdf = (cdf - cdf[0]) / (cdf[-1] - cdf[0])
         g = dist.make_grid(xs, cdf, rng.exponential(size=n) if density else None)
-        if not density:
-            slopes = PchipInterpolator(xs, cdf).derivative()(xs)
-            assert g.pdf_values.tobytes() == np.clip(slopes, 0.0, None).tobytes()
-        pdf = PchipInterpolator(xs, g.pdf_values)
+        if density:
+            pdf = PchipInterpolator(xs, g.pdf_values)
+        else:
+            pdf = PchipInterpolator(xs, cdf).derivative()
+            assert g.pdf_values.tobytes() == np.clip(pdf(xs), 0.0, None).tobytes()
         for size in (500, 3000):  # reads below and above dist._NUMPY_MIN_POINTS
             x = np.concatenate([rng.uniform(xs[0], xs[-1], size - 20), rng.choice(xs, 20)])
             assert g.pdf(x).tobytes() == np.maximum(pdf(x), 0.0).tobytes()
+
+    @pytest.mark.parametrize("n", [50, 300, 2048])
+    def test_cdf_alone_defines_one_law(self, n):
+        # a grid given only its cdf reads its density off that table's slope,
+        # so its density has the table's mass and mean to a few ulps
+        xs = np.linspace(0, 1, n)
+        g = dist.make_grid(xs, xs ** 3)
+        slope = PchipInterpolator(xs, xs ** 3).derivative()
+        rng = np.random.default_rng(n)
+        for size in (500, 3000):  # reads below and above dist._NUMPY_MIN_POINTS
+            x = np.concatenate([rng.uniform(0, 1, size - 20), rng.choice(xs, 20)])
+            assert g.pdf(x).tobytes() == np.maximum(slope(x), 0.0).tobytes()
+        eps = np.finfo(float).eps
+        assert abs(panel_integrals(g.pdf, xs).sum() - 1.0) <= 4 * eps
+        assert abs(g.mean() - (xs[-1] - panel_integrals(g.cdf, xs).sum())) <= 4 * eps
 
     def test_non_regular_grid_rejected_for_inverse(self):
         # bimodal-ish density gives a non-monotone virtual value
