@@ -120,17 +120,17 @@ class _Table:
 
     Small batches call the compiled loop that PPoly.__call__ ends in, on
     `_pchip`'s C-contiguous coefficients and knots, as that loop requires.
-    Large batches (see `_NUMPY_MIN_POINTS`)
-    locate each point's interval once, for value and slope together. On
-    knots that are equispaced to within one interval the index is an affine
-    guess, checked by two gathers: of the knot on its left, which also gives
-    the offset s, and of the interval's right end (none for the last). A
-    point it misses steps one interval toward q, and is binary-searched on
-    the interior knots if it still misses, so any guess gives the exact
-    interval; on other knots every point is searched. Each polynomial then
+    So does a large batch (see `_NUMPY_MIN_POINTS`) without a guess of each
+    point's interval: the caller's, or the affine one on knots equispaced to
+    within one interval. With one, numpy locates each interval once, for
+    value and slope together: the guess is checked by two gathers, of the
+    knot on its left, which also gives the offset s, and of the interval's
+    right end (none for the last). A point it misses steps one interval
+    toward q, and is binary-searched on the interior knots if it still
+    misses, so any guess gives the exact interval. Each polynomial then
     takes one gather per coefficient, and value and slope share the powers
     of s. `invert` solves the table for q by Newton steps from a table of its
-    inverse, which also brackets each root by two of this table's knots.
+    inverse, which brackets each root by two knots and so guesses its interval.
     """
 
     def __init__(self, x, y):
@@ -144,14 +144,11 @@ class _Table:
 
     @functools.cached_property
     def _scale(self):
-        # _step where the guess, monotone in q, is within one interval at
-        # every knot, and so at every point; else None, and nothing is guessed.
-        # On GRID_N equispaced knots it misses no knot and none of 2^20 uniform
-        # points; ~p^2/2 + (1-p)^2/2 of them once a kink at p of the span is
-        # added (25% on the K=3 one-vs-uniform gamma table); 99.9% on the GP
-        # bid laws' tables.
-        # Computed on the first numpy-sized read, from the knots alone, so that
-        # worker threads that make that read together all get the finished value
+        # _step where the affine guess, monotone in q, is within one interval
+        # at every knot, and so at every point (miss rates in BENCH_35.json);
+        # else None, and a large read without a guess takes the compiled loop.
+        # Computed on the first such read, from the knots alone, so that worker
+        # threads that make that read together all get the finished value
         miss = self._guess(self.x) - np.arange(self.x.size)
         return None if np.any((miss < -1) | (miss > 0)) else self._step
 
@@ -173,13 +170,11 @@ class _Table:
         np.maximum(g, 0.0, out=g)
         return np.fmin(g, self.x.size - 2, out=g).astype(np.intp)
 
-    def _locate(self, q):
-        """(i, q - x[i]) for 1-d q, i = np.searchsorted(x[1:-1], q, side="right")."""
+    def _locate(self, q, guess=None):
+        """(i, q - x[i]) for 1-d q, i = np.searchsorted(x[1:-1], q, side="right"),
+        from a guess of i in [0, x.size - 2], by default the affine one, left unwritten."""
         x = self.x
-        if self._scale is None:
-            i = x[1:-1].searchsorted(q, side="right")
-            return i, q - x[i]
-        i = self._guess(q)
+        i = self._guess(q) if guess is None else guess
         left = x[i]
         right = self._right
         hit = (q >= left) & (q < right[i])  # false at NaN, whatever its guess
@@ -190,15 +185,17 @@ class _Table:
             j = _clip(j + (qm >= right[j]) - (qm < left[miss]), 0, x.size - 2)
             far = ~((qm >= x[j]) & (qm < right[j]))
             j[far] = x[1:-1].searchsorted(qm[far], side="right")
+            i = i.copy()
             i[miss], left[miss] = j, x[j]
         return i, np.subtract(q, left, out=left)
 
-    def _eval(self, q, *pps, located=False):
+    def _eval(self, q, *pps, located=False, guess=None):
         """Each PPoly of pps at q, bit for bit as PPoly.__call__ gives it; if
-        located, then each point's interval, as searchsorted places flat q."""
+        located, then each point's interval, as searchsorted places flat q.
+        A large batch with a guess of those, or the affine one, takes numpy."""
         q = np.asarray(q, dtype=float)
         flat = q.ravel()
-        if flat.size < _NUMPY_MIN_POINTS:
+        if flat.size < _NUMPY_MIN_POINTS or guess is None and self._scale is None:
             # without PPoly.__call__'s ~2 us of checks, copies and reshapes
             outs = []
             for pp in pps:
@@ -207,7 +204,7 @@ class _Table:
                 outs.append(out.reshape(q.shape))
             i = self.x[1:-1].searchsorted(flat, side="right") if located else None
         else:
-            i, s = self._locate(flat)
+            i, s = self._locate(flat, guess)
             # scipy's compiled loop is silent where inf - inf makes a NaN
             with np.errstate(invalid="ignore", over="ignore"):
                 outs = [out.reshape(q.shape) for out in _power_sums([pp.c for pp in pps], i, s)]
@@ -219,11 +216,11 @@ class _Table:
     def slope(self, q):
         return self._eval(q, self._dpp)[0]
 
-    def value_and_slope(self, q):
-        return self._eval(q, self._pp, self._dpp)
+    def value_and_slope(self, q, guess=None):
+        return self._eval(q, self._pp, self._dpp, guess=guess)
 
     def _newton(self, y, x, ends, i):
-        value, slope = self.value_and_slope(x)
+        value, slope = self.value_and_slope(x, i)  # the bracket's interval guesses x's
         # np.clip(slope, 1e-12, None) is this maximum, behind ~3 us of Python
         step = (value - y) / np.maximum(slope, 1e-12)
         new = x - step

@@ -184,15 +184,34 @@ def test_symmetric_equilibrium_steps_stop(uniform_bid_law, monkeypatch):
     sizes = []
     evaluate = m._psi.value_and_slope
 
-    def counted(q):
+    def counted(q, guess=None):
         sizes.append(np.size(q))
-        return evaluate(q)
+        return evaluate(q, guess)
 
     monkeypatch.setattr(m._psi, "value_and_slope", counted)
     assert_same(m._inverse_virtual_clamped(t), expected)
     assert sizes[0] == t.size
     assert len(sizes) == 1 or sizes[1] <= 0.2 * t.size
     assert sum(sizes) < 1.5 * t.size
+
+
+def test_newton_reads_guess_from_their_bracket(monkeypatch):
+    # on the GP equilibrium bid law, whose psi table's knots are not
+    # equispaced, every large read of psi^-1's Newton steps is guessed from
+    # its bracket's interval, not left to the compiled loop
+    law = shade.equilibrium_shading(dist.make_gp(0.0, 1.0, -0.5), 3).bid_distribution()
+    assert law._psi._scale is None
+    t = np.maximum(0.0, law.virtual_value_clamped(law.sample(21_845, seed=3)))
+    locate, guesses = dist._Table._locate, []
+
+    def recorded(table, q, guess=None):
+        if table is law._psi:
+            guesses.append(guess)
+        return locate(table, q, guess)
+
+    monkeypatch.setattr(dist._Table, "_locate", recorded)
+    assert_same(law._inverse_virtual_clamped(t), table_steps(law._psi, law._psi_inv, t))
+    assert guesses and all(guess is not None for guess in guesses)
 
 
 @pytest.mark.parametrize("model", [

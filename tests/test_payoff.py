@@ -456,6 +456,18 @@ class TestMonteCarlo:
             assert abs(mean - 1 / 12) < 3 * se
         assert abs(est.seller_revenue - 0.5) < 3 * est.seller_revenue_se
 
+    def test_gp_equilibrium_three_bidders(self):
+        # bids, psi and psi^-1 from grid tables whose knots are not equispaced:
+        # each bidder's equilibrium payoff is sigma B(1 - xi, K) = 16/105 at
+        # K = 3 on GP(0, 1, -0.5), B the beta function
+        seed = 11
+        models = [dist.make_gp(0.0, 1.0, -0.5) for _ in range(3)]
+        strategies = [shade.equilibrium_shading(m, 3) for m in models]
+        cfg = mech.fit_mechanism("myerson", [s.bid_distribution() for s in strategies])
+        est = payoff.payoff_monte_carlo(models, strategies, cfg, 131_072, seed=seed)
+        for mean, se in zip(est.per_bidder, est.per_bidder_se):
+            assert abs(mean - 16 / 105) < 3 * se
+
     def test_worker_count_invariance(self):
         models = uniforms(2)
         strategies = [shade.truthful(m) for m in models]

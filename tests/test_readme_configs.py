@@ -34,7 +34,7 @@ def _configs():
 
 def test_every_command_has_a_config():
     assert set(_commands()) == set(_configs())
-    assert len(_commands()) == 6
+    assert len(_commands()) == 7
 
 
 @pytest.mark.parametrize("name", sorted(_configs()))

@@ -1,9 +1,11 @@
 """The grid layer's PCHIP table against scipy's PchipInterpolator.
 
 Batches at or above the crossover (dist._NUMPY_MIN_POINTS, for value,
-slope and value-and-slope reads alike) are evaluated in numpy with one
-interval lookup shared by value and slope; smaller ones call the compiled
-loop that PPoly.__call__ ends in, without its wrapper. These tests move the
+slope and value-and-slope reads alike) that have a guess of each point's
+interval, the caller's or the affine one on equispaced knots, are evaluated
+in numpy with one interval lookup shared by value and slope; other batches
+call the compiled loop that PPoly.__call__ ends in, without its wrapper.
+Any guess must give the exact interval. These tests move the
 crossover to either side of each batch, so
 they exercise both paths whatever their values, and require every read to
 give the same bits as scipy on equispaced knots, on default grids merged
@@ -253,6 +255,82 @@ def test_locate_is_exact_for_any_guess(data):
     assert_same_bits(s, q - x[want])
 
 
+@st.composite
+def guesses(draw, x, q):
+    """A guess of each point's interval in [0, n - 2]: drawn from that range,
+    the true interval one or k off, all the first or all the last."""
+    top = x.size - 2
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    true = np.searchsorted(x[1:-1], q, side="right")
+    kind = draw(st.sampled_from(["any", "one off", "k off", "first", "last"]))
+    if kind == "any":
+        return rng.integers(0, top + 1, q.size)
+    if kind in ("one off", "k off"):
+        k = 1 if kind == "one off" else draw(st.integers(2, x.size))
+        return np.clip(true + k * rng.choice([-1, 1], q.size), 0, top)
+    return np.full(q.size, 0 if kind == "first" else top, dtype=np.intp)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_locate_is_exact_for_a_callers_guess(data):
+    # on any knots, equispaced or not: searchsorted's interval and the offset
+    # from its left knot, to the byte, and the caller's guess is not written
+    x, y = data.draw(tables())
+    q = np.ravel(data.draw(queries(x)))
+    guess = data.draw(guesses(x, q))
+    kept = guess.copy()
+    i, s = dist._Table(x, y)._locate(q, guess)
+    want = np.searchsorted(x[1:-1], q, side="right")
+    np.testing.assert_array_equal(i, want)
+    assert_same_bits(s, q - x[want])
+    np.testing.assert_array_equal(guess, kept)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_guessed_numpy_read_is_bit_equal_to_scipy(data):
+    x, y = data.draw(tables())
+    q = data.draw(queries(x))
+    guess = data.draw(guesses(x, q.ravel()))
+    value = PchipInterpolator(x, y, extrapolate=True)
+    table = dist._Table(x, y)
+    with crossover(0):
+        assert_same_bits(table._eval(q, table._pp, guess=guess)[0], value(q))
+        assert_same_bits(table._eval(q, table._dpp, guess=guess)[0], value.derivative()(q))
+        both = table.value_and_slope(q, guess)
+    assert_same_bits(both[0], value(q))
+    assert_same_bits(both[1], value.derivative()(q))
+
+
+def test_only_a_guessed_large_read_takes_numpy_on_other_knots(monkeypatch):
+    # knots that are not equispaced have no affine guess: a large read
+    # without a guess takes the compiled loop, and one with a guess numpy
+    x = np.geomspace(1.0, 1e3, 300)
+    table = dist._Table(x, np.sqrt(x))
+    q = np.random.default_rng(4).uniform(0.5, 1.1e3, 2048)
+    assert q.size >= dist._NUMPY_MIN_POINTS
+    value = PchipInterpolator(x, np.sqrt(x), extrapolate=True)
+    power_sums, calls = dist._power_sums, []
+
+    def refused(*args):
+        raise AssertionError("an unguessed read reached numpy")
+
+    def counted(*args):
+        calls.append(args)
+        return power_sums(*args)
+
+    monkeypatch.setattr(dist, "_power_sums", refused)
+    assert_same_bits(table(q), value(q))
+    assert_same_bits(table.slope(q), value.derivative()(q))
+    assert table._scale is None
+    monkeypatch.setattr(dist, "_power_sums", counted)
+    guess = np.zeros(q.size, dtype=np.intp)
+    assert_same_bits(table._eval(q, table._pp, guess=guess)[0], value(q))
+    assert_same_bits(table._eval(q, table._dpp, guess=guess)[0], value.derivative()(q))
+    assert len(calls) == 2
+
+
 @pytest.mark.parametrize("lo, hi, n", [(0.0, 1.0, 2048), (0.0, 2.0, 2048), (0.3, 7.1, 2049),
                                        (-1.0, 1e3, 513)])
 def test_a_table_guesses_its_own_knots(lo, hi, n):
@@ -287,23 +365,27 @@ def test_grid_function_keeps_the_shape_and_the_last_knot(shape, limit):
 
 
 def test_first_numpy_reads_from_many_threads_agree():
-    # a table checks its knots on its first numpy-sized read, and Monte Carlo
-    # workers are threads that may make that read together: every thread
-    # must see the finished check. _locate is exact for any guess, so each
+    # a table checks its knots on its first large read without a guess, and
+    # Monte Carlo workers are threads that may make that read together: every
+    # thread must see the finished check. Either route is exact, so each
     # thread also returns the check it read, which must be None on knots
     # that are not equispaced and _step on knots that are. Fresh tables, 8
     # threads on 2 cores, and a 1 us switch interval
     q = np.linspace(1.0, 1e3, 2048)
+    assert q.size >= dist._NUMPY_MIN_POINTS
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for x in [np.geomspace(1.0, 1e3, 300), np.linspace(1.0, 1e3, 300)] * 15:
             table = dist._Table(x, np.arange(x.size, dtype=float))
             with ThreadPoolExecutor(8) as pool:
-                got = list(pool.map(lambda q: (table._locate(q)[0], table._scale), [q] * 8))
+                got = list(pool.map(lambda q: (table._eval(q, table._pp, located=True),
+                                               table._scale), [q] * 8))
             want = None if x[1] - x[0] < x[-1] - x[-2] else table._step
-            for i, scale in got:
+            value = PchipInterpolator(x, np.arange(x.size, dtype=float))(q)
+            for (read, i), scale in got:
                 np.testing.assert_array_equal(i, np.searchsorted(x[1:-1], q, side="right"))
+                assert_same_bits(read, value)
                 assert scale is want
     finally:
         sys.setswitchinterval(interval)
