@@ -2,11 +2,11 @@
 
 By Myerson's lemma, a bidder with virtualized bid h = psi_B(B) earns
 E[(X - h) W(s) 1{h >= 0}] under a threshold mechanism, where W, what she must
-beat (`CompetitionDistribution`, from one builder for every kind), is met by
-s = h under Myerson and by her bid s = B under VCG with monopoly reserves.
-Under Myerson W = F_Z, Z = max(0, competitors' virtualized bids), with a point
-mass at 0 (every competitor misses her reserve) that the quadrature, the
-functional directional derivative and the BSP gradient account for.
+beat (`CompetitionDistribution`, one rule for every kind), is met by s = h
+under Myerson and by her bid s = B under VCG with monopoly reserves. Under
+Myerson W = F_Z, Z = max(0, competitors' virtualized bids), and W(t <= 0) is
+the point mass atom0 (every competitor misses her reserve), which the point-mass
+terms of the directional derivative and of the BSP gradient read.
 
 The payoff and its functional derivative integrate over the clearing region
 {h >= 0} of the virtualized bid h, from the point `_clearing_point` finds, in
@@ -68,14 +68,16 @@ def _product_density(t, cdfs, pdfs):
 
 class CompetitionDistribution:
     """What a bidder must beat, built by `competition_distribution`: the law W of her
-    competitors' highest score. Under Myerson (virtual) she meets it with her virtualized
-    bid h, and W is the law of Z = max(0, psi_i(B_i)), with mass atom0 = prod F_{B_i}(r*_i)
-    at 0. Under VCG with monopoly reserves r_i she meets it with her bid, and W is prod F_i
-    (lazy) or prod max(F_i(r_i), F_i) (eager), which kinks at the eager r_i, its kinks."""
+    competitors' highest score, W(t) = prod_i max(m_i, S_i(t)) for every kind. S_i is the
+    law of competitor i's virtualized bid under Myerson (virtual: the bidder meets W with
+    hers) and of her bid under VCG (met by the bid); m_i is her mass below her reserve r_i,
+    where her density is 0. So under Myerson W(t <= 0) is atom0 = prod_i m_i (None under
+    VCG), which only the point-mass terms read; eager VCG's W kinks at the r_i, its kinks."""
 
-    def __init__(self, models, virtual, atom0=None, reserves=None, kinks=()):
-        self.models, self.virtual, self.atom0 = tuple(models), virtual, atom0
-        self._reserves, self.kinks = reserves, kinks  # (r_i, F_i(r_i)) by law key
+    def __init__(self, models, virtual, score, floors, kinks=()):
+        self.models, self.virtual, self._score, self.kinks = tuple(models), virtual, score, kinks
+        self._floors = dict(zip([m.law_key for m in self.models], floors))  # (r_i, m_i)
+        self.atom0 = reduce(np.multiply, [mass for _, mass in floors], 1.0) if virtual else None
 
     @cached_property
     def tops(self):
@@ -83,23 +85,17 @@ class CompetitionDistribution:
         return tuple(m.virtual_range[1] for m in self.models if np.isfinite(m.virtual_range[1]))
 
     def law(self, t, density=False):
-        """(W(t), its density at t if density else None) from one evaluation of each
-        distinct competitor's law, whose cdf the density's product rule reuses. Competitors
-        are matched by law_key: a repeated model object, or equal GP models built apart,
-        are read once; equal grid models built apart are each read."""
+        """(W(t), its density at t if density else None) from one read of each distinct
+        competitor's score law (matched by law_key, as `_each_distinct` says), whose cdf
+        the density's product rule reuses."""
         t = np.asarray(t, dtype=float)
-        if not self.virtual:
-            def one(m):
-                r, floor = self._reserves[m.law_key]
-                cdf = np.maximum(floor, m.cdf(t))
-                return cdf, np.where(t > r, m.pdf(t), 0.0) if density else None
 
-            return _law_of_max(t, one, self.models, density)
-        # at t <= 0 only the atom or 0 is returned, so each law is read at t+
-        tc = np.maximum(t, 0.0)
-        gamma, pdf = _law_of_max(t, lambda m: m._virtual_law(tc, density), self.models, density)
-        cdf = np.where(t > 0, gamma, np.where(t < 0, 0.0, self.atom0))
-        return cdf, None if pdf is None else np.where(t <= 0, 0.0, pdf)
+        def one(m):
+            r, floor = self._floors[m.law_key]
+            cdf, pdf = self._score(m, t, density)
+            return np.maximum(floor, cdf), np.where(t > r, pdf, 0.0) if density else None
+
+        return _law_of_max(t, one, self.models, density)
 
     def cdf(self, t):
         return self.law(t)[0]
@@ -112,22 +108,22 @@ def competition_distribution(bid_models, kind="myerson") -> CompetitionDistribut
     """The competition from these bid laws under Myerson, or VCG with monopoly reserves
     applied lazily or eagerly; InvalidParams for another kind (second price clears where the
     bid is >= 0, not where h >= 0). A non-regular grid law raises: its psi is inverted."""
-    models = tuple(bid_models)
-    if kind == "myerson":
-        zero = np.zeros(1)
-        atom0 = float(_law_of_max(zero, lambda m: m._virtual_law(zero), models)[0][0])
-        return CompetitionDistribution(models, True, atom0)
-    if kind not in ("vcg-lazy", "vcg-eager"):
+    if kind not in ("myerson", "vcg-lazy", "vcg-eager"):
         raise InvalidParams(f"unsupported mechanism kind for a competition law: {kind!r}")
-    eager = kind == "vcg-eager"
+    models = tuple(bid_models)
+    virtual, eager = kind == "myerson", kind == "vcg-eager"
+    score = ((lambda m, t, density: m._virtual_law(t, density)) if virtual else
+             (lambda m, t, density: (m.cdf(t), m.pdf(t) if density else None)))
 
-    def competitor(m):  # (reserve, floor), found once per distinct law
+    def competitor(m):  # (r_i, m_i): Myerson (0, F_V(0)), eager (r*, F(r*)), lazy (-inf, 0)
+        if virtual:
+            return 0.0, float(m._virtual_law(np.zeros(1))[0][0])
         r = m.monopoly_price() if eager else -np.inf
         return r, m.cdf(r) if eager else 0.0
 
-    reserves = dict(zip([m.law_key for m in models], _each_distinct(competitor, models)))
-    return CompetitionDistribution(models, False, reserves=reserves,
-                                   kinks=[reserves[m.law_key][0] for m in models] if eager else ())
+    floors = _each_distinct(competitor, models)  # once per distinct law
+    return CompetitionDistribution(models, virtual, score, floors,
+                                   [r for r, _ in floors] if eager else ())
 
 
 def _check_myerson(z):

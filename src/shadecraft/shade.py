@@ -209,6 +209,8 @@ def equilibrium_shading(model: DistributionModel, k: int) -> ShadingStrategy:
     first-price bid, i.e. bid(x) = E[beta_I(X) | X >= x]."""
     if k < 2:
         raise InvalidParams("k must be >= 2")
+    if model.support[0] < 0:  # there the first-price bid, her virtualized bid, never wins
+        raise InvalidParams("equilibrium shading needs a value support that starts at >= 0")
     if not model.is_regular:
         raise NonRegular("equilibrium shading requires a regular value distribution")
     return GridShading(model, first_price_bid(model, k))

@@ -431,6 +431,10 @@ REFUSED = {
     "k-1-equilibrium": ("equilibrium-demo", {"k": 1, "seed": 1}),
     "equilibrium-non-monotone": ("equilibrium-demo", {
         "k": 3, "seed": 1, "value": {"kind": "gp", "mu": 0, "sigma": 1, "xi": -0.2}}),
+    # a value law below 0 has no Myerson equilibrium of this form
+    "equilibrium-value-below-0": ("equilibrium-demo", {
+        "k": 3, "rounds": 65536, "seed": 7, "value": {"kind": "gp", "mu": -0.5, "sigma": 1,
+                                                      "xi": -1}}),
     "point-mass-not-bool": ("bsp-opt", {"value": UNIFORM, "point_mass": 1}),
     "workers-negative": ("equilibrium-demo", {"k": 2, "seed": 1, "workers": -3}),
     "workers-zero": ("simulate", {

@@ -10,7 +10,8 @@ compiled PPoly evaluation. A table is built from (x, y) alone, so its slope
 is its own derivative. A model family implements one rule of each pair
 cdf/sf and quantile/isf; the base derives the other. The payoff engines
 integrate in four places only, and the clearing point is found in one. One
-builder makes the competition a bidder faces, for every threshold kind.
+builder makes the competition a bidder faces, for every threshold kind, and
+its law is one rule for every kind, which reads neither the kind nor the atom.
 maximize_bsp takes the BSP payoff and gradient from one integral, and the
 BSP point-mass term is written once.
 Per-call paths call no numpy wrapper that ends in a ufunc, constructor or
@@ -162,6 +163,17 @@ def test_one_competition_builder():
     assert not any("_linear_competition" in path.read_text() for path in SRC.rglob("*.py"))
     assert set(_src_callers("CompetitionDistribution")) == {
         ("payoff.py", "competition_distribution")}
+
+
+def test_the_competition_law_is_one_rule():
+    # W = prod_i max(m_i, S_i) for Myerson and lazy and eager VCG: the builder makes
+    # one object for every kind, and only __init__ touches the kind (virtual) and the
+    # atom, so law has no Myerson branch and W(0) has one source, not a stored atom
+    assert _src_callers("CompetitionDistribution") == [("payoff.py", "competition_distribution")]
+    tree = ast.parse((SRC / "payoff.py").read_text())
+    cls = next(n for n in tree.body if getattr(n, "name", None) == "CompetitionDistribution")
+    for attr in ("atom0", "virtual"):
+        assert set(_readers(cls, attr)) == {"__init__"}, attr
 
 
 def test_payoff_integrates_in_four_places():

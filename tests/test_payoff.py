@@ -47,7 +47,8 @@ class TestCompetitionDistribution:
         assert z_two_uniform.atom0 == pytest.approx(0.25)
 
     def test_negative_argument(self, z_two_uniform):
-        assert z_two_uniform.cdf(-0.1) == 0.0
+        # below 0 no competitor clears: W reads the atom, and no density
+        assert z_two_uniform.cdf(-0.1) == z_two_uniform.atom0
         assert z_two_uniform.pdf(-0.1) == 0.0
 
     def test_single_uniform(self, z_one_uniform):
@@ -59,11 +60,10 @@ class TestCompetitionDistribution:
         dq = (z_two_uniform.cdf(ts + 1e-6) - z_two_uniform.cdf(ts - 1e-6)) / 2e-6
         np.testing.assert_allclose(z_two_uniform.pdf(ts), dq, atol=1e-6)
 
-    def test_atom_override_keeps_continuous_part(self, z_two_uniform):
-        z0 = copy.copy(z_two_uniform)
-        z0.atom0 = 0.0
-        assert z0.cdf(0.0) == 0.0
-        assert z0.cdf(0.3) == z_two_uniform.cdf(0.3)
+    def test_atom_is_the_law_at_and_below_zero(self, z_two_uniform):
+        # the atom and W(0) are one number, from one rule
+        z = z_two_uniform
+        assert np.float64(z.atom0).tobytes() == z.cdf(0.0).tobytes() == z.cdf(-0.1).tobytes()
 
     def test_tops_are_the_finite_top_virtualized_bids(self):
         z = payoff.competition_distribution(
@@ -112,12 +112,9 @@ def _reference_virtual_law(m, t):
 
 
 def _reference_law(z, t):
-    """F_Z and f_Z, each from its own evaluation of every competitor's law."""
-    gamma = np.ones_like(t)
-    for m in z.models:
-        gamma = gamma * _reference_virtual_law(m, np.clip(t, 0.0, None))[0]
-    cdf = np.where(t > 0, gamma, np.where(t < 0, 0.0, z.atom0))
-    cdfs, pdfs = zip(*(_reference_virtual_law(m, t) for m in z.models))
+    """F_Z and f_Z, from every competitor's law read at max(t, 0): Z = max(0, psi_i(B_i))."""
+    cdfs, pdfs = zip(*(_reference_virtual_law(m, np.clip(t, 0.0, None)) for m in z.models))
+    cdf = functools.reduce(np.multiply, cdfs, np.ones_like(t))
     return cdf, np.where(t <= 0, 0.0, payoff._product_density(t, cdfs, pdfs))
 
 
@@ -134,6 +131,25 @@ def test_law_is_byte_equal_to_cdf_and_pdf(z, ts):
     for got, want in zip((cdf, pdf), _reference_law(z, t)):
         assert got.tobytes() == want.tobytes()
     assert z.law(t)[1] is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.1, 2.0), st.floats(-3.0, -0.05)),
+                min_size=1, max_size=4),
+       st.lists(st.floats(-2.0, 4.0), min_size=1, max_size=30))
+def test_myerson_is_eager_vcg_in_virtualized_bids(params, ts):
+    # the paper's identity: Myerson sells to the highest nonnegative virtualized bid, so
+    # its W is eager VCG's on V_i = psi_i(B_i) with every reserve at 0. V_i is the GP law
+    # ((1 - xi)(mu - r*), (1 - xi) sigma, xi), built as its own model
+    z = payoff.competition_distribution([dist.make_gp(*p) for p in params])
+    virtual = [dist.make_gp((1 - xi) * (mu - dist.make_gp(mu, sigma, xi).monopoly_price()),
+                            (1 - xi) * sigma, xi) for mu, sigma, xi in params]
+    t = np.array(ts)
+    floors = [float(v.cdf(0.0)) for v in virtual]
+    want = functools.reduce(np.multiply, [np.maximum(m, v.cdf(t)) for m, v in
+                                          zip(floors, virtual)], np.ones_like(t))
+    np.testing.assert_allclose(z.cdf(t), want, rtol=0, atol=1e-12)
+    assert z.atom0 == pytest.approx(np.prod(floors), rel=0, abs=1e-12)
 
 
 class TestDistinctCompetitors:
@@ -314,7 +330,12 @@ class TestPayoffQuadrature:
         s = shade.GridShading(u, h, kinks=(0.5,))
         with_atom = payoff.payoff_quadrature(u, s, z_two_uniform).mean
         z0 = copy.copy(z_two_uniform)
-        z0.atom0 = 0.0
+
+        def law_without_atom(t, density=False):
+            cdf, pdf = z_two_uniform.law(t, density)
+            return np.where(np.asarray(t) == 0, 0.0, cdf), pdf
+
+        z0.law = law_without_atom
         without = payoff.payoff_quadrature(u, s, z0).mean
         assert with_atom == pytest.approx(229 / 1728, abs=1e-9)
         assert with_atom - without == pytest.approx(1 / 32, abs=1e-9)

@@ -200,6 +200,20 @@ class TestEquilibriumShading:
         resid = bd.virtual_value_clamped(eq.bid(xs)) - shade.first_price_bid(m, 4)(xs)
         assert np.abs(resid).max() < 1e-5
 
+    @pytest.mark.parametrize("model", [
+        lambda: dist.make_gp(-0.5, 1.0, -1.0),
+        lambda: dist.make_grid(np.linspace(-0.5, 0.5, 101), np.linspace(0.0, 1.0, 101)),
+    ], ids=["gp", "grid"])
+    def test_value_law_below_zero_is_refused(self, model):
+        # there the first-price bid, her virtualized bid, is negative and never wins
+        with pytest.raises(InvalidParams, match="starts at >= 0"):
+            shade.equilibrium_shading(model(), 3)
+
+    @pytest.mark.parametrize("model", [lambda: dist.make_gp(-0.0, 1.0, -1.0), dist.make_uniform],
+                             ids=["gp-minus-zero", "uniform"])
+    def test_value_law_from_zero_builds(self, model):
+        assert shade.equilibrium_shading(model(), 3).bid(0.5) == pytest.approx(0.5, abs=1e-9)
+
     def test_non_regular_value_law_is_refused(self):
         # two density bumps on 400 knots: psi falls between them
         xs = np.linspace(0.0, 1.0, 400)

@@ -26,7 +26,10 @@ change/parent of wall time (median and quartiles), the number of pairs the
 change won (ratio below 1), failed operations per side, and whether the
 workload's `tools/fingerprint.py` hash is equal on both sides. For set-up it
 gives each side's median wall time of one set-up, unscaled, and its median
-minor page faults per set-up, over every set-up of every pair. After its timed
+minor page faults per set-up, over every set-up of every pair. The fault count
+is informational, as it is process noise: two checkouts that differed by one
+unused function read 350 against 1,576 faults per set-up, and other pairs 642
+against 333 and 2,781.5 against 2,779.5; no gate reads it. After its timed
 passes each side runs one more pass under a profile hook that counts the
 Python-level calls into numpy's and scipy's own modules (wrappers such as
 np.clip, not the compiled loops they end in); the report gives each side's
@@ -273,7 +276,7 @@ def main(argv=None):
         print(f"{name}: wall median {r['wall_s_median']:.4f} s, "
               f"cpu median {r['cpu_s_median']:.4f} s, failed ops {r['failed']}; "
               f"set-up median {r['setup_s_median']:.4f} s, "
-              f"{r['setup_faults_median']:g} minor faults per set-up; "
+              f"{r['setup_faults_median']:g} minor faults per set-up (informational); "
               f"numpy and scipy Python calls per pass {r['library_calls_median']:g}")
     print(f"ratio change/parent: median {med:.3f} [q1-q3 {q1:.3f}-{q3:.3f}], "
           f"change faster in {report['change_wins']} of {args.pairs} pairs")
